@@ -11,13 +11,11 @@ using model::BillboardId;
 
 Assignment::Assignment(const influence::InfluenceIndex* index,
                        std::vector<market::Advertiser> advertisers,
-                       RegretParams params, uint16_t impression_threshold,
-                       influence::IndexBackend backend)
+                       RegretParams params, uint16_t impression_threshold)
     : index_(index),
       advertisers_(std::move(advertisers)),
       params_(params),
       impression_threshold_(impression_threshold),
-      backend_(backend),
       owner_(index->num_billboards(), kNoAdvertiser),
       slot_(index->num_billboards(), 0),
       sets_(advertisers_.size()),
@@ -35,7 +33,7 @@ Assignment::Assignment(const influence::InfluenceIndex* index,
   }
   counters_.reserve(advertisers_.size());
   for (size_t a = 0; a < advertisers_.size(); ++a) {
-    counters_.emplace_back(index_, impression_threshold_, backend_);
+    counters_.emplace_back(index_, impression_threshold_);
     regret_[a] = Regret(advertisers_[a], 0, params_);
     total_regret_ += regret_[a];
   }
@@ -267,7 +265,7 @@ void Assignment::VerifyInvariants() const {
   // Influence and regret caches.
   double expected_total = 0.0;
   for (int32_t a = 0; a < num_advertisers(); ++a) {
-    influence::CoverageCounter fresh(index_, impression_threshold_, backend_);
+    influence::CoverageCounter fresh(index_, impression_threshold_);
     for (BillboardId o : sets_[a]) fresh.Add(o);
     MROAM_CHECK(fresh.influence() == InfluenceOf(a))
         << "advertiser " << a << " influence cache stale";

@@ -28,13 +28,10 @@ class Assignment {
   /// `impression_threshold` selects the influence measure: 1 (default) is
   /// the paper's set-union meet model; m > 1 requires a trajectory to
   /// meet m of an advertiser's billboards before it counts (the
-  /// impression-count model of [29], orthogonal per §3.1). `backend`
-  /// picks the posting-list representation every counter walks (plain
-  /// vectors or the compressed cindex kernels — bit-identical results).
+  /// impression-count model of [29], orthogonal per §3.1).
   Assignment(const influence::InfluenceIndex* index,
              std::vector<market::Advertiser> advertisers,
-             RegretParams params, uint16_t impression_threshold = 1,
-             influence::IndexBackend backend = influence::IndexBackend::kPlain);
+             RegretParams params, uint16_t impression_threshold = 1);
 
   // Copyable so local search can snapshot candidate plans (counters are
   // deep-copied; cost is O(|A| * |T|)). Prefer move where possible.
@@ -194,7 +191,6 @@ class Assignment {
   std::vector<market::Advertiser> advertisers_;
   RegretParams params_;
   uint16_t impression_threshold_ = 1;
-  influence::IndexBackend backend_ = influence::IndexBackend::kPlain;
 
   std::vector<market::AdvertiserId> owner_;       // by billboard
   std::vector<int32_t> slot_;                     // position in its list

@@ -148,8 +148,7 @@ void DailyMarket::ReplanIncremental(
   // Restore yesterday's deployment over today's roster (survivors keep
   // their boards; arrivals start empty).
   Assignment state(index_, terms_cache_, config_.solver.regret,
-                   config_.solver.impression_threshold,
-                   config_.solver.backend);
+                   config_.solver.impression_threshold);
   state.RestoreDeployment(sets_cache_);
 
   // Blast radius of the churn: every billboard sharing a trajectory with
@@ -217,8 +216,7 @@ void DailyMarket::ReplanIncremental(
   // restored incumbent if it was better.
   if (state.TotalRegret() > incumbent_regret + 1e-9) {
     Assignment revert(index_, terms_cache_, config_.solver.regret,
-                      config_.solver.impression_threshold,
-                      config_.solver.backend);
+                      config_.solver.impression_threshold);
     revert.RestoreDeployment(sets_cache_);
     state = std::move(revert);
   }
@@ -319,8 +317,7 @@ DayResult DailyMarket::AdvanceDay(
     // inventory to the (new or still-unsatisfied) contracts greedily.
     MROAM_TRACE_SPAN("market.replan_lock");
     Assignment state(index_, terms_cache_, config_.solver.regret,
-                     config_.solver.impression_threshold,
-                     config_.solver.backend);
+                     config_.solver.impression_threshold);
     for (size_t i = 0; i < first_new; ++i) {
       for (model::BillboardId o : contracts_[i].billboards) {
         state.Assign(o, static_cast<market::AdvertiserId>(i));

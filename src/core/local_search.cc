@@ -320,8 +320,7 @@ Assignment RandomizedLocalSearch(const influence::InfluenceIndex& index,
                                  SearchStrategy strategy,
                                  const LocalSearchConfig& config,
                                  common::Rng* rng, LocalSearchStats* stats,
-                                 uint16_t impression_threshold,
-                                 influence::IndexBackend backend) {
+                                 uint16_t impression_threshold) {
   MROAM_TRACE_SPAN("rls.run");
   const int32_t restarts = std::max(config.restarts, 0);
   const int32_t tasks = restarts + 1;  // task 0 is the greedy incumbent
@@ -343,7 +342,7 @@ Assignment RandomizedLocalSearch(const influence::InfluenceIndex& index,
     MROAM_TRACE_SPAN_ID(t == 0 ? "rls.incumbent" : "rls.restart", t);
     common::Stopwatch phase_watch;
     common::Rng* task_rng = &task_rngs[t];
-    Assignment plan(&index, ads, params, impression_threshold, backend);
+    Assignment plan(&index, ads, params, impression_threshold);
     if (t == 0) {
       // Line 3.1: incumbent from the deterministic synchronous greedy —
       // improved by the same local search as every restart, so it

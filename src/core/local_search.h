@@ -107,14 +107,12 @@ enum class SearchStrategy {
 /// plan seen, ties broken toward the incumbent then earlier restarts.
 /// Restarts run on `config.num_threads` threads; the result is
 /// bit-identical for any thread count at a fixed seed.
-/// `impression_threshold` selects the influence measure and `backend` the
-/// posting-list representation (see Assignment).
+/// `impression_threshold` selects the influence measure (see Assignment).
 Assignment RandomizedLocalSearch(
     const influence::InfluenceIndex& index,
     const std::vector<market::Advertiser>& ads, const RegretParams& params,
     SearchStrategy strategy, const LocalSearchConfig& config, common::Rng* rng,
-    LocalSearchStats* stats = nullptr, uint16_t impression_threshold = 1,
-    influence::IndexBackend backend = influence::IndexBackend::kPlain);
+    LocalSearchStats* stats = nullptr, uint16_t impression_threshold = 1);
 
 }  // namespace mroam::core
 

@@ -39,7 +39,7 @@ SolveResult Solve(const influence::InfluenceIndex& index,
   SolveResult result;
 
   Assignment assignment(&index, advertisers, config.regret,
-                        config.impression_threshold, config.backend);
+                        config.impression_threshold);
   switch (config.method) {
     case Method::kGOrder:
       BudgetEffectiveGreedy(&assignment, config.local_search.lazy_selection);
@@ -51,13 +51,13 @@ SolveResult Solve(const influence::InfluenceIndex& index,
       assignment = RandomizedLocalSearch(
           index, advertisers, config.regret,
           SearchStrategy::kAdvertiserDriven, config.local_search, &rng,
-          &result.search_stats, config.impression_threshold, config.backend);
+          &result.search_stats, config.impression_threshold);
       break;
     case Method::kBls:
       assignment = RandomizedLocalSearch(
           index, advertisers, config.regret, SearchStrategy::kBillboardDriven,
           config.local_search, &rng, &result.search_stats,
-          config.impression_threshold, config.backend);
+          config.impression_threshold);
       break;
   }
 

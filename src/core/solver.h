@@ -36,11 +36,6 @@ struct SolverConfig {
   /// m > 1 = impression-count model of [29] (a trajectory counts once it
   /// meets m of the advertiser's billboards).
   uint16_t impression_threshold = 1;
-  /// Posting-list representation the coverage counters walk: plain
-  /// vector<int32> lists (default) or the block-compressed cindex kernels
-  /// (bit-identical; required when the index holds no plain lists, e.g.
-  /// when serving an mmapped snapshot).
-  influence::IndexBackend backend = influence::IndexBackend::kPlain;
 };
 
 /// Outcome of one solver run: the deployment plus its evaluation.

@@ -27,24 +27,23 @@ namespace mroam::influence {
 /// data structure that makes the greedy selection rule and the local-search
 /// move deltas cheap (DESIGN.md §5.1).
 ///
-/// The counter runs over either index representation (IndexBackend): the
-/// plain vector lists inline below, or the block-compressed kernels via a
-/// delegated cindex::CompressedCoverageCounter — bit-identical by
-/// construction and gated by the equivalence suites. Epoch bookkeeping
-/// lives here in the wrapper either way, so the lazy-selection machinery
-/// is backend-oblivious.
+/// The counter walks whichever representation its index holds: the plain
+/// vector lists inline below, or — exactly when !index->has_plain() — the
+/// block-compressed kernels via a delegated
+/// cindex::CompressedCoverageCounter, bit-identical by construction and
+/// gated by the equivalence suites. Epoch bookkeeping lives here in the
+/// wrapper either way, so the lazy-selection machinery is
+/// representation-oblivious.
 class CoverageCounter {
  public:
   /// Creates an empty counter over `index`'s trajectory universe with the
   /// given impression threshold (>= 1). The index must outlive the
-  /// counter. Falls back to the compressed backend when the index holds
-  /// no plain lists (mmap-served snapshots), whatever `backend` says.
+  /// counter.
   explicit CoverageCounter(const InfluenceIndex* index,
-                           uint16_t impression_threshold = 1,
-                           IndexBackend backend = IndexBackend::kPlain)
+                           uint16_t impression_threshold = 1)
       : index_(index), threshold_(impression_threshold) {
     MROAM_CHECK(impression_threshold >= 1);
-    if (backend == IndexBackend::kCompressed || !index->has_plain()) {
+    if (!index->has_plain()) {
       compressed_.emplace(&index->compressed_covered(),
                           impression_threshold);
     } else {
@@ -123,11 +122,6 @@ class CoverageCounter {
     return compressed_ ? compressed_->influence() : influence_;
   }
 
-  /// The backend this counter runs on.
-  IndexBackend backend() const {
-    return compressed_ ? IndexBackend::kCompressed : IndexBackend::kPlain;
-  }
-
   /// The impression threshold m (1 = the paper's set-union measure).
   uint16_t impression_threshold() const { return threshold_; }
 
@@ -171,12 +165,12 @@ class CoverageCounter {
  private:
   const InfluenceIndex* index_;
   uint16_t threshold_;
-  /// Plain backend state; empty when the compressed delegate is engaged.
+  /// Plain-list state; empty when the compressed delegate is engaged.
   std::vector<uint16_t> counts_;
   int64_t influence_ = 0;
   uint64_t epoch_ = 1;              ///< 0 is reserved for "never stamped"
   uint64_t last_shrink_epoch_ = 1;
-  /// Engaged iff running compressed; holds counts/influence then.
+  /// Engaged iff the index is compressed; holds counts/influence then.
   std::optional<cindex::CompressedCoverageCounter> compressed_;
 };
 

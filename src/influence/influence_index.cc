@@ -52,7 +52,6 @@ InfluenceIndex InfluenceIndex::Build(const model::Dataset& dataset,
     index.total_supply_ += static_cast<int64_t>(list.size());
   }
   index.BuildReverseIndex();
-  index.BuildCompressed();
   MROAM_COUNTER_ADD("influence.index_builds", 1);
   MROAM_HISTOGRAM_OBSERVE("influence.index_build_seconds",
                           watch.ElapsedSeconds());
@@ -89,7 +88,6 @@ InfluenceIndex InfluenceIndex::FromIncidence(
     index.total_supply_ += static_cast<int64_t>(list.size());
   }
   index.BuildReverseIndex();
-  index.BuildCompressed();
   return index;
 }
 
@@ -119,11 +117,6 @@ InfluenceIndex InfluenceIndex::FromCompressed(
   index.covered_c_ = std::move(covered);
   index.covering_c_ = std::move(covering);
   return index;
-}
-
-void InfluenceIndex::BuildCompressed() {
-  covered_c_ = cindex::CompressedPostings::Build(covered_, num_trajectories_);
-  covering_c_ = cindex::CompressedPostings::Build(covering_, num_billboards_);
 }
 
 void InfluenceIndex::BuildReverseIndex() {

@@ -11,17 +11,6 @@
 
 namespace mroam::influence {
 
-/// Which posting-list representation a CoverageCounter (and everything
-/// stacked on it — Assignment, the greedies, local search) walks.
-/// kPlain is the default; kCompressed routes marginals through the
-/// block-compressed kernels in src/cindex, bit-identical by construction
-/// (gated by the equivalence suites). Indexes without plain lists (the
-/// mmap serving path) use kCompressed regardless of the knob.
-enum class IndexBackend {
-  kPlain,
-  kCompressed,
-};
-
 /// Precomputed billboard -> trajectory incidence under the paper's meet
 /// model: billboard o influences trajectory t iff some point of t lies
 /// within `lambda` meters of o's location (§7.1.2). Built once per
@@ -33,12 +22,12 @@ enum class IndexBackend {
 /// the lists of S's billboards — which CoverageCounter maintains
 /// incrementally.
 ///
-/// Both directions are also held block-compressed (src/cindex): Build and
-/// FromIncidence compress eagerly so the compressed backend is available
-/// on any index, and FromCompressed constructs an index from compressed
-/// blobs alone (no plain lists — the zero-copy mmap path), in which case
-/// CoveredBy/CoveringOf are unavailable and callers must go through the
-/// ForEachCovered/ForEachCovering dispatchers.
+/// An index holds exactly one representation of both directions, fixed
+/// by how it was made: plain vector lists from Build, FromIncidence and
+/// the decoded snapshot load, or block-compressed blobs (src/cindex) from
+/// FromCompressed — typically borrowed from an mmapped snapshot. On a
+/// compressed index CoveredBy/CoveringOf are unavailable and callers go
+/// through the ForEachCovered/ForEachCovering dispatchers.
 class InfluenceIndex {
  public:
   /// An empty index (no billboards, no trajectories). Useful as a member
@@ -67,8 +56,8 @@ class InfluenceIndex {
                                        cindex::CompressedPostings covering,
                                        double lambda);
 
-  /// Whether plain vector lists are present (false only for
-  /// FromCompressed indexes).
+  /// Whether the index holds plain vector lists (false exactly for
+  /// FromCompressed indexes, which hold compressed blobs instead).
   bool has_plain() const { return has_plain_; }
 
   /// Trajectories influenced by billboard `o`, sorted ascending.
@@ -93,8 +82,8 @@ class InfluenceIndex {
 
   /// Calls fn(TrajectoryId) for each trajectory billboard `o` influences,
   /// ascending, from whichever representation the index holds. The
-  /// backend-agnostic form of CoveredBy for consumers that must work on
-  /// compressed-only indexes.
+  /// representation-agnostic form of CoveredBy for consumers that must
+  /// work on compressed indexes.
   template <typename Fn>
   void ForEachCovered(model::BillboardId o, Fn&& fn) const {
     if (has_plain_) {
@@ -105,7 +94,7 @@ class InfluenceIndex {
   }
 
   /// Calls fn(BillboardId) for each billboard influencing trajectory `t`,
-  /// ascending (backend-agnostic CoveringOf).
+  /// ascending (representation-agnostic CoveringOf).
   template <typename Fn>
   void ForEachCovering(model::TrajectoryId t, Fn&& fn) const {
     if (has_plain_) {
@@ -129,13 +118,10 @@ class InfluenceIndex {
     return covered_;
   }
 
-  /// The block-compressed forward/reverse incidence. Always available:
-  /// built eagerly by Build/FromIncidence, borrowed by FromCompressed.
+  /// The block-compressed forward incidence. Requires !has_plain().
   const cindex::CompressedPostings& compressed_covered() const {
+    MROAM_DCHECK(!has_plain_);
     return covered_c_;
-  }
-  const cindex::CompressedPostings& compressed_covering() const {
-    return covering_c_;
   }
 
   /// I({o}) — the number of trajectories billboard `o` influences.
@@ -160,11 +146,6 @@ class InfluenceIndex {
   /// the forward lists are final).
   void BuildReverseIndex();
 
-  /// Compresses covered_/covering_ into covered_c_/covering_c_ (called
-  /// after BuildReverseIndex; deterministic, so a snapshot round trip
-  /// reproduces the blobs bit-exactly).
-  void BuildCompressed();
-
   double lambda_ = 0.0;
   int32_t num_billboards_ = 0;
   int32_t num_trajectories_ = 0;
@@ -174,8 +155,7 @@ class InfluenceIndex {
   /// Reverse incidence: covering_[t] lists the billboards whose covered_
   /// list contains t, ascending. Always sized num_trajectories_.
   std::vector<std::vector<model::BillboardId>> covering_;
-  /// Block-compressed mirrors of covered_/covering_ (or the only
-  /// representation, for FromCompressed indexes).
+  /// The compressed representation (FromCompressed indexes only).
   cindex::CompressedPostings covered_c_;
   cindex::CompressedPostings covering_c_;
 };

@@ -90,26 +90,8 @@ Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
   snapshot.map_ = map;
   snapshot.len_ = len;
   const std::string_view data(static_cast<const char*>(map), len);
-
-  if (std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-      0) {
-    return Status::InvalidArgument("not a mroam index snapshot: " + path);
-  }
-  wire::Cursor header(data, "file header");
-  MROAM_RETURN_IF_ERROR(header.Skip(sizeof(kSnapshotMagic)));
-  MROAM_ASSIGN_OR_RETURN(uint32_t version, header.GetU32());
-  if (version != kSnapshotVersionV2) {
-    return Status::InvalidArgument(
-        "mmap serving needs a v2 snapshot; " + path + " is version " +
-        std::to_string(version) +
-        " (re-save it with the current writer, or load it without --mmap)");
-  }
-
-  constexpr uint32_t kMaxSectionId =
-      static_cast<uint32_t>(SnapshotSection::kContractBook);
-  MROAM_ASSIGN_OR_RETURN(
-      wire::SectionTableV2 table,
-      wire::WalkSectionsV2(data, kMaxSectionId, kSnapshotFileHeaderBytes));
+  MROAM_ASSIGN_OR_RETURN(wire::SectionTableV2 table,
+                         wire::WalkSnapshot(data, path));
   for (SnapshotSection required :
        {SnapshotSection::kMeta, SnapshotSection::kCompressedIncidence,
         SnapshotSection::kCompressedCovering}) {
@@ -119,19 +101,13 @@ Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
           std::to_string(static_cast<uint32_t>(required)));
     }
   }
-
   // Only lambda is needed from the meta section: the entity counts come
   // from (and are cross-checked against) the blob headers themselves, and
   // the dataset geometry stays untouched on disk.
-  wire::Cursor meta(
-      table.payloads[static_cast<uint32_t>(SnapshotSection::kMeta)],
-      "meta section");
-  MROAM_ASSIGN_OR_RETURN(std::string name, meta.GetString());
-  MROAM_ASSIGN_OR_RETURN(double lambda, meta.GetF64());
-  MROAM_ASSIGN_OR_RETURN(uint32_t num_billboards, meta.GetU32());
-  MROAM_ASSIGN_OR_RETURN(uint32_t num_trajectories, meta.GetU32());
-  (void)name;
-
+  MROAM_ASSIGN_OR_RETURN(
+      wire::MetaSection meta,
+      wire::DecodeMeta(
+          table.payloads[static_cast<uint32_t>(SnapshotSection::kMeta)]));
   // The zero-copy heart: both blobs are borrowed straight out of the
   // mapping (FromBytes still runs the full structural validation), and
   // FromCompressed cross-checks their shapes against each other.
@@ -147,13 +123,13 @@ Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
           table.payloads[static_cast<uint32_t>(
               SnapshotSection::kCompressedCovering)],
           cindex::Ownership::kBorrow));
-  if (covered.num_lists() != num_billboards ||
-      covered.universe() != static_cast<int32_t>(num_trajectories)) {
+  if (covered.num_lists() != meta.num_billboards ||
+      covered.universe() != static_cast<int32_t>(meta.num_trajectories)) {
     return Status::DataLoss(
         "snapshot compressed incidence shape disagrees with meta section");
   }
   snapshot.index_ = influence::InfluenceIndex::FromCompressed(
-      std::move(covered), std::move(covering), lambda);
+      std::move(covered), std::move(covering), meta.lambda);
 
   if (table.seen[static_cast<uint32_t>(SnapshotSection::kContractBook)]) {
     MROAM_ASSIGN_OR_RETURN(
@@ -166,8 +142,8 @@ Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
   MROAM_HISTOGRAM_OBSERVE("io.snapshot_map_seconds",
                           watch.ElapsedSeconds());
   MROAM_LOG(Info) << "snapshot mapped from " << path << " (" << len
-                  << " bytes, " << num_billboards << " billboards, "
-                  << num_trajectories << " trajectories, "
+                  << " bytes, " << meta.num_billboards << " billboards, "
+                  << meta.num_trajectories << " trajectories, "
                   << snapshot.book_.entries.size()
                   << " restored contracts) in " << watch.ElapsedSeconds()
                   << "s";

@@ -11,9 +11,9 @@
 namespace mroam::io {
 
 // ---------------------------------------------------------------------------
-// Zero-copy snapshot serving (docs/snapshot_format.md, format v2 only).
+// Zero-copy snapshot serving (docs/snapshot_format.md).
 //
-// MappedSnapshot mmaps a v2 snapshot and builds an InfluenceIndex whose
+// MappedSnapshot mmaps a snapshot and builds an InfluenceIndex whose
 // compressed postings BORROW the mapped bytes in place — no decoded
 // incidence copy is ever materialized, so cold start is page faults plus
 // one CRC pass, not a parse, and resident memory stays bounded by the
@@ -27,8 +27,8 @@ namespace mroam::io {
 
 class MappedSnapshot {
  public:
-  /// Maps `path` read-only and validates it as a v2 snapshot: magic,
-  /// version (v1 files are rejected — they have nothing to borrow), v2
+  /// Maps `path` read-only and validates it as a snapshot: magic,
+  /// version (anything but kSnapshotVersion is kInvalidArgument),
   /// framing with 64-byte payload alignment, per-section CRC, and the
   /// full structural validation of both compressed blobs. The
   /// "io.mmap_map" fault point turns a good file into a typed kIoError

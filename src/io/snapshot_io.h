@@ -22,61 +22,49 @@ namespace mroam::io {
 // integer is little-endian, every double is its IEEE-754 bit pattern, so a
 // round trip is bit-exact.
 //
-// Two on-disk versions exist:
-//   * v1 stores the incidence and reverse-covering lists as flat int32
-//     arrays (12-byte section headers, unaligned payloads).
-//   * v2 (default writer) stores them as cindex compressed-posting blobs
-//     instead, with 16-byte section headers and zero padding that places
-//     every payload on a 64-byte file offset — the exact owned layout of
-//     cindex::CompressedPostings, so MappedSnapshot (mmap_snapshot.h) can
-//     borrow the blobs straight out of a mapping and serve with zero
-//     decoded copies. v2 also carries the serving layer's open contract
-//     book, so a drained server restores its active contracts on restart.
-//
-// Readers accept both versions; SaveIndexSnapshotV1 keeps the legacy
-// writer available for compatibility tooling and the format tests.
+// The format is version 2. The incidence and reverse-covering lists are
+// stored as cindex compressed-posting blobs, with 16-byte section headers
+// and zero padding that places every payload on a 64-byte file offset —
+// the exact owned layout of cindex::CompressedPostings, so MappedSnapshot
+// (mmap_snapshot.h) can borrow the blobs straight out of a mapping and
+// serve with zero decoded copies. The file also carries the serving
+// layer's open contract book, so a drained server restores its active
+// contracts on restart. Version 1 (flat int32 lists) is retired: both
+// loaders reject it like any other unsupported version.
 // ---------------------------------------------------------------------------
 
 /// First 8 bytes of every snapshot file.
 inline constexpr char kSnapshotMagic[8] = {'M', 'R', 'O', 'A',
                                            'M', 'S', 'N', 'P'};
 
-/// The two on-disk versions. SaveIndexSnapshot writes kSnapshotVersion
-/// (= v2); readers accept both, and reject anything newer.
-inline constexpr uint32_t kSnapshotVersionV1 = 1;
-inline constexpr uint32_t kSnapshotVersionV2 = 2;
-inline constexpr uint32_t kSnapshotVersion = kSnapshotVersionV2;
+/// The one on-disk version SaveIndexSnapshot writes and the loaders read.
+inline constexpr uint32_t kSnapshotVersion = 2;
 
-/// Section identifiers. v1 files carry ids 0..5; v2 files carry kMeta,
-/// kBillboards, kTrajectories, the two compressed-postings sections, the
-/// (optional) contract book, and kEnd. Each section appears at most once;
-/// kEnd terminates the file.
+/// Section identifiers. Each section appears at most once; kEnd
+/// terminates the file. Ids 4 and 5 held the retired version 1's flat
+/// lists: they stay reserved, and the loaders reject them as unknown.
 enum class SnapshotSection : uint32_t {
   kEnd = 0,            ///< empty payload; must be last
   kMeta = 1,           ///< dataset name, lambda, entity counts
   kBillboards = 2,     ///< locations + costs, id = position
   kTrajectories = 3,   ///< timing + points, id = position
-  kIncidence = 4,      ///< v1: billboard -> trajectories flat lists
-  kCovering = 5,       ///< v1: trajectory -> billboards flat lists
-  kCompressedIncidence = 6,  ///< v2: covered lists as a cindex CPB1 blob
-  kCompressedCovering = 7,   ///< v2: covering lists as a cindex CPB1 blob
-  kContractBook = 8,         ///< v2: the serving layer's open book
+  kCompressedIncidence = 6,  ///< covered lists as a cindex CPB1 blob
+  kCompressedCovering = 7,   ///< covering lists as a cindex CPB1 blob
+  kContractBook = 8,         ///< the serving layer's open book
 };
 
-/// Bytes of a v1 section header: id (u32) + payload length (u64). The
-/// payload follows, then its CRC-32 (u32). Exposed for the format tests,
-/// which walk sections to tamper with specific payloads.
-inline constexpr size_t kSnapshotSectionHeaderBytes = 12;
-/// Bytes of a v2 section header: id (u32) + pad (u32) + payload length
+/// Bytes of a section header: id (u32) + pad (u32) + payload length
 /// (u64). `pad` zero bytes follow the header so the payload starts on a
 /// 64-byte file offset; the payload follows, then its CRC-32 (u32).
+/// Exposed for the format tests, which walk sections to tamper with
+/// specific payloads.
 inline constexpr size_t kSnapshotSectionHeaderBytesV2 = 16;
 /// Bytes of the file header: magic (8) + version (u32).
 inline constexpr size_t kSnapshotFileHeaderBytes = 12;
 
-/// A loaded snapshot: the dataset, its prebuilt index, and (v2) the
-/// serving layer's contract book at save time (empty for v1 files and
-/// snapshots saved outside a serving drain).
+/// A loaded snapshot: the dataset, its prebuilt index, and the serving
+/// layer's contract book at save time (empty for snapshots saved outside
+/// a serving drain).
 struct IndexSnapshot {
   model::Dataset dataset;
   influence::InfluenceIndex index;
@@ -84,35 +72,29 @@ struct IndexSnapshot {
 };
 
 /// Writes `dataset` + `index` (+ the open contract `book`, if any) to
-/// `path` in format v2. Parent directories are created; the bytes land in
-/// a temp file in the target directory which is atomically renamed over
-/// `path`, so a crash mid-save (or the armed "io.snapshot_write" fault
-/// point) can never leave a truncated snapshot under the final name.
-/// Fails with kInvalidArgument on an empty dataset or when `index` does
-/// not match `dataset` (entity counts), kIoError on filesystem trouble.
+/// `path`, compressing the index's plain lists into the two postings
+/// sections at save time. Parent directories are created; the bytes land
+/// in a temp file in the target directory which is atomically renamed
+/// over `path`, so a crash mid-save (or the armed "io.snapshot_write"
+/// fault point) can never leave a truncated snapshot under the final
+/// name. Fails with kInvalidArgument on an empty dataset, when `index`
+/// does not match `dataset` (entity counts), or when `index` is
+/// compressed (has_plain() false — there is nothing to encode from);
+/// kIoError on filesystem trouble.
 common::Status SaveIndexSnapshot(
     const std::string& path, const model::Dataset& dataset,
     const influence::InfluenceIndex& index,
     const market::ContractBook& book = market::ContractBook{});
 
-/// Legacy v1 writer (flat int32 lists, no contract book) — kept so the
-/// compatibility path (v1 files read by current loaders) stays testable
-/// and old tooling can still be fed.
-common::Status SaveIndexSnapshotV1(const std::string& path,
-                                   const model::Dataset& dataset,
-                                   const influence::InfluenceIndex& index);
-
-/// Reads a snapshot written by either writer. Corruption is caught in
-/// layers: framing damage (bad magic, unknown version, truncation, CRC
-/// mismatch, misaligned v2 payload, missing/duplicate sections) returns a
-/// typed error; payloads that pass their CRC are then re-validated through
-/// the existing InfluenceIndex::FromIncidence preconditions (sorted,
-/// duplicate-free, in-range lists — MROAM_CHECK, i.e. a forged file that
-/// re-signs garbage aborts rather than serving a corrupt market). For v1
-/// the stored reverse index must match the one rebuilt from the forward
-/// lists; for v2 the compressed blobs are decoded, the index is rebuilt,
-/// and its re-encoded blobs must be byte-identical to the stored ones
-/// (the codec is deterministic, so any inconsistency is corruption).
+/// Reads a snapshot into a plain-list index. Corruption is caught in
+/// layers: framing damage (bad magic, unsupported version, truncation,
+/// CRC mismatch, misaligned payload, unknown/missing/duplicate sections)
+/// returns a typed error; the compressed blobs then pass their full
+/// structural validation, are decoded, and re-validated through the
+/// InfluenceIndex::FromIncidence preconditions (sorted, duplicate-free,
+/// in-range lists — MROAM_CHECK). Finally both directions are re-encoded
+/// and must be byte-identical to the stored blobs (the codec is
+/// deterministic, so any inconsistency is corruption).
 common::Result<IndexSnapshot> LoadIndexSnapshot(const std::string& path);
 
 }  // namespace mroam::io

@@ -14,9 +14,9 @@
 // ---------------------------------------------------------------------------
 // Wire-level helpers shared by the snapshot writer/loader (snapshot_io.cc)
 // and the zero-copy mmap loader (mmap_snapshot.cc): little-endian primitive
-// encoding, a bounds-checked cursor, the version-2 section walker, and the
-// contract-book codec. Internal to src/io — the public surface is
-// snapshot_io.h / mmap_snapshot.h.
+// encoding, a bounds-checked cursor, the file-header check and section
+// walker, and the meta and contract-book codecs. Internal to src/io — the
+// public surface is snapshot_io.h / mmap_snapshot.h.
 // ---------------------------------------------------------------------------
 
 namespace mroam::io::wire {
@@ -135,7 +135,27 @@ class Cursor {
   size_t offset_ = 0;
 };
 
-// --- Contract-book codec (snapshot v2 kContractBook section) ---------------
+// --- Meta section codec ----------------------------------------------------
+
+/// The kMeta payload: dataset name, lambda and entity counts.
+struct MetaSection {
+  std::string name;
+  double lambda = 0.0;
+  uint32_t num_billboards = 0;
+  uint32_t num_trajectories = 0;
+};
+
+inline common::Result<MetaSection> DecodeMeta(std::string_view payload) {
+  Cursor cur(payload, "meta section");
+  MetaSection meta;
+  MROAM_ASSIGN_OR_RETURN(meta.name, cur.GetString());
+  MROAM_ASSIGN_OR_RETURN(meta.lambda, cur.GetF64());
+  MROAM_ASSIGN_OR_RETURN(meta.num_billboards, cur.GetU32());
+  MROAM_ASSIGN_OR_RETURN(meta.num_trajectories, cur.GetU32());
+  return meta;
+}
+
+// --- Contract-book codec (kContractBook section) ---------------------------
 
 inline std::string EncodeBook(const market::ContractBook& book) {
   std::string out;
@@ -200,15 +220,17 @@ struct SectionTableV2 {
   std::vector<bool> seen;
 };
 
-/// Walks the v2 section chain of `data` (the whole file; the walk starts
-/// after the 12-byte file header): per section a 16-byte header {id u32,
-/// pad u32, len u64}, `pad` zero bytes placing the payload on a 64-byte
-/// file offset, the payload, then its CRC-32. Verifies framing, alignment,
-/// CRC, and single occurrence of each id up to `max_section_id`; requires
-/// a terminating kEnd (id 0) with no trailing bytes.
-common::Result<SectionTableV2> WalkSectionsV2(std::string_view data,
-                                              uint32_t max_section_id,
-                                              size_t file_header_bytes);
+/// Checks the 12-byte file header of `data` (the whole file) and walks
+/// its section chain: per section a 16-byte header {id u32, pad u32, len
+/// u64}, `pad` zero bytes placing the payload on a 64-byte file offset,
+/// the payload, then its CRC-32. A foreign magic or any version other
+/// than kSnapshotVersion (the retired version 1 included) fails with
+/// kInvalidArgument naming `path`. Framing damage fails with kDataLoss:
+/// truncation, misalignment, a CRC mismatch, an unknown or reserved
+/// section id, a repeated id, or a missing terminating kEnd (id 0) or
+/// bytes after it.
+common::Result<SectionTableV2> WalkSnapshot(std::string_view data,
+                                            const std::string& path);
 
 }  // namespace mroam::io::wire
 

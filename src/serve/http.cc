@@ -12,9 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <thread>
 
-#include "common/fault.h"
 #include "common/strings.h"
 
 namespace mroam::serve {
@@ -100,14 +98,6 @@ Status WaitReady(int fd, short events, const Deadline& deadline,
 /// One deadline-guarded recv. Returns 0 on orderly EOF; retries EINTR.
 Result<size_t> RecvSome(int fd, char* chunk, size_t capacity,
                         const Deadline& deadline) {
-  // Chaos: a slow-read fault stalls the reader before the deadline
-  // check, burning the request budget exactly like a starved thread
-  // would — so an injected stall longer than the budget surfaces as
-  // kDeadlineExceeded, not a slow success.
-  const common::FaultAction slow = MROAM_FAULT_POINT("serve.slow_read");
-  if (slow.fire && slow.delay_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(slow.delay_ms));
-  }
   while (true) {
     MROAM_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline, "HTTP read"));
     ssize_t n = recv(fd, chunk, capacity, 0);
@@ -116,49 +106,6 @@ Result<size_t> RecvSome(int fd, char* chunk, size_t capacity,
     return Status::IoError(std::string("recv failed: ") +
                            std::strerror(errno));
   }
-}
-
-/// recv() until `marker` appears or a size/EOF/deadline limit trips.
-/// Appends to *buffer; returns the offset just past the marker.
-Result<size_t> ReadUntil(int fd, std::string* buffer, std::string_view marker,
-                         size_t max_bytes, const Deadline& deadline) {
-  // Resume each scan where the previous one could not yet have matched: a
-  // marker absent from the first `size` bytes can only start within the
-  // last marker.size()-1 of them. Without this the scan restarts at
-  // offset 0 after every recv — O(head²) on dribbled input.
-  size_t search_from = 0;
-  while (true) {
-    size_t pos = buffer->find(marker, search_from);
-    if (pos != std::string::npos) return pos + marker.size();
-    if (buffer->size() > max_bytes) {
-      return Status::InvalidArgument("HTTP head exceeds " +
-                                     std::to_string(max_bytes) + " bytes");
-    }
-    search_from = buffer->size() >= marker.size() - 1
-                      ? buffer->size() - (marker.size() - 1)
-                      : 0;
-    char chunk[4096];
-    MROAM_ASSIGN_OR_RETURN(size_t n,
-                           RecvSome(fd, chunk, sizeof(chunk), deadline));
-    if (n == 0) {
-      return Status::IoError("connection closed before full HTTP head");
-    }
-    buffer->append(chunk, n);
-  }
-}
-
-Status ReadExact(int fd, std::string* buffer, size_t total,
-                 const Deadline& deadline) {
-  while (buffer->size() < total) {
-    char chunk[4096];
-    size_t want = std::min(sizeof(chunk), total - buffer->size());
-    MROAM_ASSIGN_OR_RETURN(size_t n, RecvSome(fd, chunk, want, deadline));
-    if (n == 0) {
-      return Status::IoError("connection closed before full HTTP body");
-    }
-    buffer->append(chunk, n);
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -329,8 +276,9 @@ RequestFramer::Outcome RequestFramer::Next(HttpRequest* request,
     return Outcome::kError;
   }
 
-  // Every Content-Length header must parse strictly and agree — same
-  // smuggling rules as ReadHttpRequest.
+  // Every Content-Length header must parse strictly and agree: duplicate
+  // headers with conflicting values are a request-smuggling staple, so
+  // they are rejected rather than resolved by first- or last-wins.
   size_t length = 0;
   bool have_length = false;
   for (const auto& [key, value] : parsed->headers) {
@@ -358,46 +306,11 @@ RequestFramer::Outcome RequestFramer::Next(HttpRequest* request,
   }
   *request = std::move(*parsed);
   request->body = buffer_.substr(body_start, length);
-  // Bytes past the body are NOT an error here (unlike the one-shot
-  // reader): they are the next pipelined request.
+  // Bytes past the body are not an error: they are the next pipelined
+  // request.
   buffer_.erase(0, body_start + length);
   search_from_ = 0;
   return Outcome::kRequest;
-}
-
-Result<HttpRequest> ReadHttpRequest(int fd, const HttpTimeouts& timeouts) {
-  // One deadline spans head + body: the total budget is per request, not
-  // per phase, so a client cannot double it by stalling at the boundary.
-  const Deadline deadline(timeouts);
-  std::string buffer;
-  MROAM_ASSIGN_OR_RETURN(size_t body_start,
-                         ReadUntil(fd, &buffer, "\r\n\r\n",
-                                   kMaxHttpHeadBytes, deadline));
-  MROAM_ASSIGN_OR_RETURN(
-      HttpRequest request,
-      ParseRequestHead(std::string_view(buffer).substr(0, body_start - 4)));
-
-  // Every Content-Length header must parse strictly and agree: duplicate
-  // headers with conflicting values are a request-smuggling staple, so
-  // they are rejected rather than resolved by first- or last-wins.
-  size_t length = 0;
-  bool have_length = false;
-  for (const auto& [key, value] : request.headers) {
-    if (key != "content-length") continue;
-    MROAM_ASSIGN_OR_RETURN(size_t parsed, ParseContentLength(value));
-    if (have_length && parsed != length) {
-      return Status::InvalidArgument(
-          "conflicting duplicate Content-Length headers");
-    }
-    length = parsed;
-    have_length = true;
-  }
-  request.body = buffer.substr(body_start);
-  if (request.body.size() > length) {
-    return Status::InvalidArgument("request body longer than Content-Length");
-  }
-  MROAM_RETURN_IF_ERROR(ReadExact(fd, &request.body, length, deadline));
-  return request;
 }
 
 Status WriteAll(int fd, std::string_view data,

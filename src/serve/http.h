@@ -23,7 +23,7 @@ namespace mroam::serve {
 // ---------------------------------------------------------------------------
 
 /// Upper bound on request head (request line + headers) accepted by the
-/// reader; larger requests fail with kInvalidArgument.
+/// framer; larger requests fail with kInvalidArgument.
 inline constexpr size_t kMaxHttpHeadBytes = 64 * 1024;
 /// Upper bound on a request/response body.
 inline constexpr size_t kMaxHttpBodyBytes = 16 * 1024 * 1024;
@@ -100,9 +100,9 @@ common::Result<HttpResponse> ParseResponseHead(std::string_view head);
 /// Strict Content-Length parse: ASCII digits only — no sign, whitespace,
 /// 0x prefix, or trailing junk (all of which strtoull-style parsing would
 /// quietly accept, a classic request-smuggling vector) — rejecting empty
-/// input and values above kMaxHttpBodyBytes. Exposed for tests;
-/// ReadHttpRequest applies it to every Content-Length header and rejects
-/// duplicates with conflicting values.
+/// input and values above kMaxHttpBodyBytes. RequestFramer and the
+/// client apply it to every Content-Length header; the framer also
+/// rejects duplicates with conflicting values.
 common::Result<size_t> ParseContentLength(std::string_view text);
 
 /// Incremental request parser for persistent connections: feed raw bytes
@@ -138,15 +138,6 @@ class RequestFramer {
   std::string buffer_;
   size_t search_from_ = 0;
 };
-
-/// Reads one full request (head + Content-Length body) from a connected
-/// socket. Fails with kInvalidArgument on malformed input, kIoError on
-/// socket errors or EOF mid-request, and kDeadlineExceeded when either
-/// `timeouts` budget runs out (the default timeouts block forever).
-/// Interrupted syscalls (EINTR) are always retried, with the remaining
-/// budget recomputed.
-common::Result<HttpRequest> ReadHttpRequest(int fd,
-                                            const HttpTimeouts& timeouts = {});
 
 /// Writes all of `data` to `fd` (retrying short writes and EINTR,
 /// ignoring SIGPIPE — a half-closed peer surfaces as kIoError, never a
@@ -188,9 +179,13 @@ class HttpClient {
                       const std::string& body = "",
                       const HttpTimeouts& timeouts = {});
 
-  /// Reads the next response off the connection. A server that announced
-  /// Connection: close (or EOF mid-stream) closes the client; a fresh
-  /// Connect() is needed afterwards.
+  /// Reads the next response off the connection. Fails with kIoError on
+  /// socket errors or EOF mid-response, and kDeadlineExceeded when either
+  /// `timeouts` budget runs out (the default timeouts block forever);
+  /// interrupted syscalls (EINTR) are retried with the remaining budget
+  /// recomputed. A server that announced Connection: close (or EOF
+  /// mid-stream) closes the client; a fresh Connect() is needed
+  /// afterwards.
   common::Result<HttpResponse> ReadResponse(const HttpTimeouts& timeouts = {});
 
   /// Send + ReadResponse in one call (the common non-pipelined case).

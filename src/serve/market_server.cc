@@ -1277,8 +1277,6 @@ void MarketServer::FlushBatch() {
         std::chrono::duration<double>(now - pending.enqueued).count();
     queue_wait_total += waited;
     MROAM_HISTOGRAM_OBSERVE("serve.stage.queue_wait_seconds", waited);
-    // Legacy name kept for dashboards that predate the stage histograms.
-    MROAM_HISTOGRAM_OBSERVE("serve.admission_wait_seconds", waited);
     MROAM_FLIGHT_EVENT("ticket.flush", pending.request_id);
   }
 
@@ -1339,7 +1337,6 @@ void MarketServer::FlushBatch() {
       std::memory_order_relaxed);
   MROAM_HISTOGRAM_OBSERVE("serve.stage.replan_seconds",
                           watch.ElapsedSeconds());
-  MROAM_HISTOGRAM_OBSERVE("serve.replan_seconds", watch.ElapsedSeconds());
   MROAM_COUNTER_ADD("serve.batches", 1);
   MROAM_COUNTER_ADD("serve.contracts_admitted",
                     static_cast<int64_t>(batch.size()));
@@ -1351,13 +1348,9 @@ void MarketServer::FlushBatch() {
   MROAM_HISTOGRAM_OBSERVE("serve.boards_touched",
                           static_cast<double>(last_day_.boards_touched));
   if (last_day_.mode == core::ReplanMode::kIncremental) {
-    MROAM_COUNTER_ADD("serve.replan_incremental", 1);
     MROAM_HISTOGRAM_OBSERVE(
         "serve.reoptimized_advertisers",
         static_cast<double>(last_day_.reoptimized_advertisers));
-  }
-  if (last_day_.full_solve_fallback) {
-    MROAM_COUNTER_ADD("serve.replan_full_fallback", 1);
   }
   batches_flushed_.fetch_add(1, std::memory_order_relaxed);
 

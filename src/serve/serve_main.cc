@@ -133,8 +133,8 @@ overload contract:
                          before eviction (default 65536)
 
 exit status: 0 ok, 1 boot/serve failure, 2 usage error, 3 snapshot
-load/map failure (--snapshot path missing, corrupt, or — with --mmap —
-not a v2 snapshot).
+load/map failure (--snapshot path missing, corrupt, or of a version
+other than 2).
 )");
 }
 

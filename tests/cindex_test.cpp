@@ -2,7 +2,7 @@
 // decode round trips across density regimes, wire-level validation of
 // corrupted blobs, ownership semantics, the popcount kernel, and the
 // bit-identity of the compressed coverage counter — and of whole solver
-// runs — against the plain backend.
+// runs — on FromCompressed indexes against their plain-list originals.
 #include "cindex/postings.h"
 
 #include <algorithm>
@@ -24,6 +24,7 @@ namespace mroam::cindex {
 namespace {
 
 using Lists = std::vector<std::vector<int32_t>>;
+using mroam::testing::CompressedTwin;
 
 /// Random sorted duplicate-free lists mixing density regimes: per list a
 /// random density in [0, 0.9] over a random window of the universe, so
@@ -255,14 +256,12 @@ TEST(CompressedCounterTest, MatchesPlainCounterUnderRandomOperations) {
   Lists lists = RandomLists(&rng, num_billboards, num_trajectories);
   influence::InfluenceIndex index = influence::InfluenceIndex::FromIncidence(
       lists, num_trajectories, testing::kFixtureLambda);
+  influence::InfluenceIndex twin = CompressedTwin(index);
+  ASSERT_FALSE(twin.has_plain());
 
   for (uint16_t threshold : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
-    influence::CoverageCounter plain(&index, threshold,
-                                     influence::IndexBackend::kPlain);
-    influence::CoverageCounter comp(&index, threshold,
-                                    influence::IndexBackend::kCompressed);
-    ASSERT_EQ(plain.backend(), influence::IndexBackend::kPlain);
-    ASSERT_EQ(comp.backend(), influence::IndexBackend::kCompressed);
+    influence::CoverageCounter plain(&index, threshold);
+    influence::CoverageCounter comp(&twin, threshold);
 
     std::vector<bool> in_set(num_billboards, false);
     std::vector<int32_t> members;
@@ -307,10 +306,10 @@ TEST(CompressedCounterTest, MatchesPlainCounterUnderRandomOperations) {
 
 TEST(CompressedCounterTest, ClearResetsToEmpty) {
   Lists lists = {{0, 1, 2}, {1, 2, 3}, {}};
-  influence::InfluenceIndex index = influence::InfluenceIndex::FromIncidence(
-      lists, 4, testing::kFixtureLambda);
-  influence::CoverageCounter counter(&index, 1,
-                                     influence::IndexBackend::kCompressed);
+  influence::InfluenceIndex index = CompressedTwin(
+      influence::InfluenceIndex::FromIncidence(lists, 4,
+                                               testing::kFixtureLambda));
+  influence::CoverageCounter counter(&index);
   counter.Add(0);
   counter.Add(1);
   EXPECT_EQ(counter.influence(), 4);
@@ -331,8 +330,7 @@ TEST(FromCompressedTest, ServesTheSameIncidenceWithoutPlainLists) {
   influence::InfluenceIndex full = influence::InfluenceIndex::Build(
       dataset, 150.0);
 
-  influence::InfluenceIndex compact = influence::InfluenceIndex::FromCompressed(
-      full.compressed_covered(), full.compressed_covering(), full.lambda());
+  influence::InfluenceIndex compact = CompressedTwin(full);
   EXPECT_FALSE(compact.has_plain());
   EXPECT_EQ(compact.num_billboards(), full.num_billboards());
   EXPECT_EQ(compact.num_trajectories(), full.num_trajectories());
@@ -355,11 +353,9 @@ TEST(FromCompressedTest, ServesTheSameIncidenceWithoutPlainLists) {
     EXPECT_EQ(walked, full.CoveringOf(t)) << "trajectory " << t;
   }
 
-  // A counter over a plain-free index engages the compressed backend even
-  // when asked for kPlain — there is nothing else to walk.
-  influence::CoverageCounter counter(&compact, 1,
-                                     influence::IndexBackend::kPlain);
-  EXPECT_EQ(counter.backend(), influence::IndexBackend::kCompressed);
+  // A counter over a plain-free index runs the compressed kernels — there
+  // is nothing else to walk.
+  influence::CoverageCounter counter(&compact);
   counter.Add(0);
   EXPECT_EQ(counter.influence(), full.InfluenceOf(0));
 }
@@ -375,6 +371,7 @@ TEST(SolverBackendTest, CompressedBackendIsBitIdenticalAcrossMethods) {
   influence::InfluenceIndex index =
       influence::InfluenceIndex::Build(dataset, 200.0);
   influence::AssignBillboardCosts(&dataset, index, &rng);
+  influence::InfluenceIndex twin = CompressedTwin(index);
   std::vector<market::Advertiser> advertisers = {
       testing::Adv(0, 120, 40.0), testing::Adv(1, 300, 90.0),
       testing::Adv(2, 50, 15.0)};
@@ -386,11 +383,8 @@ TEST(SolverBackendTest, CompressedBackendIsBitIdenticalAcrossMethods) {
       config.seed = 5;
       config.local_search.num_threads = threads;
 
-      core::SolverConfig compressed = config;
-      compressed.backend = influence::IndexBackend::kCompressed;
-
       core::SolveResult plain = core::Solve(index, advertisers, config);
-      core::SolveResult comp = core::Solve(index, advertisers, compressed);
+      core::SolveResult comp = core::Solve(twin, advertisers, config);
       EXPECT_EQ(comp.sets, plain.sets)
           << core::MethodName(method) << " threads " << threads;
       EXPECT_EQ(comp.influences, plain.influences)
@@ -404,17 +398,15 @@ TEST(SolverBackendTest, CompressedBackendIsBitIdenticalAcrossMethods) {
 TEST(SolverBackendTest, ImpressionThresholdRunsMatchToo) {
   influence::InfluenceIndex index = testing::IndexFromIncidence(
       testing::PaperExampleIncidence(), 20);
+  influence::InfluenceIndex twin = CompressedTwin(index);
   core::SolverConfig config;
   config.method = core::Method::kBls;
   config.impression_threshold = 2;
 
-  core::SolverConfig compressed = config;
-  compressed.backend = influence::IndexBackend::kCompressed;
-
   core::SolveResult plain =
       core::Solve(index, testing::PaperExampleAdvertisers(), config);
   core::SolveResult comp =
-      core::Solve(index, testing::PaperExampleAdvertisers(), compressed);
+      core::Solve(twin, testing::PaperExampleAdvertisers(), config);
   EXPECT_EQ(comp.sets, plain.sets);
   EXPECT_EQ(comp.influences, plain.influences);
   EXPECT_DOUBLE_EQ(comp.breakdown.total, plain.breakdown.total);

@@ -1,9 +1,9 @@
 // Equivalence and churn-handling suite for ReplanPolicy::kIncremental:
 // the warm-started replanner must match the full re-solve bit for bit
 // when its drift bound forces a daily fallback, stay within the bound on
-// mixed churn schedules, fall back when a day's churn makes the warm
-// start drift too far, and keep the market's ticket bookkeeping intact
-// under cancellation-heavy churn.
+// mixed churn schedules — on plain and compressed indexes alike — fall
+// back when a day's churn makes the warm start drift too far, and keep
+// the market's ticket bookkeeping intact under cancellation-heavy churn.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -18,6 +18,7 @@ namespace mroam::core {
 namespace {
 
 using mroam::testing::Adv;
+using mroam::testing::CompressedTwin;
 using mroam::testing::IndexFromIncidence;
 
 /// Random incidence lists: `boards` billboards each covering 1-5 of
@@ -56,11 +57,13 @@ std::vector<std::vector<market::Advertiser>> RandomSchedule(
 /// Drives one market through `schedule`, cancelling an early ticket every
 /// third day (identically for every policy, since tickets are monotone
 /// and roster-driven). Returns the per-day results; `final_payment_sum`
-/// (optional) receives the payment volume of the final active book.
+/// and `final_sets` (optional) receive the payment volume and the
+/// deployment of the final active book.
 std::vector<DayResult> Drive(
     const influence::InfluenceIndex& index, DailyMarketConfig config,
     const std::vector<std::vector<market::Advertiser>>& schedule,
-    double* final_payment_sum = nullptr) {
+    double* final_payment_sum = nullptr,
+    std::vector<std::vector<model::BillboardId>>* final_sets = nullptr) {
   DailyMarket market(&index, config);
   std::vector<DayResult> days;
   for (size_t d = 0; d < schedule.size(); ++d) {
@@ -76,6 +79,7 @@ std::vector<DayResult> Drive(
       *final_payment_sum += a.payment;
     }
   }
+  if (final_sets != nullptr) *final_sets = market.ActiveSets();
   return days;
 }
 
@@ -139,15 +143,18 @@ TEST(IncrementalReplanTest, NegativeDriftMatchesReoptimizeAllExactly) {
 // full re-solve, but only within the bound: final regret stays within
 // max_regret_drift * (active payment volume) of kReoptimizeAll's, and at
 // least one day actually replans incrementally (the policy is not just
-// falling back every day).
+// falling back every day). The same schedule driven over the index's
+// compressed twin (the mmap serving shape, whose blast radius walks the
+// blobs) replans identically, day by day.
 TEST(IncrementalReplanTest, DriftBoundHoldsAcrossRandomizedSchedules) {
   const double drift = 0.3;
   for (uint64_t seed : {1u, 2u, 3u}) {
-    for (uint16_t threshold : {uint16_t{1}, uint16_t{3}}) {
+    for (uint16_t threshold : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
       common::Rng gen_rng(seed);
       model::Dataset dataset;
       auto index = IndexFromIncidence(RandomIncidence(&gen_rng, 20, 60), 60,
                                       &dataset);
+      const influence::InfluenceIndex twin = CompressedTwin(index);
       common::Rng schedule_rng(seed + 100);
       auto schedule = RandomSchedule(&schedule_rng, 8);
 
@@ -158,7 +165,10 @@ TEST(IncrementalReplanTest, DriftBoundHoldsAcrossRandomizedSchedules) {
           BaseConfig(ReplanPolicy::kIncremental, threshold);
       config.incremental.max_regret_drift = drift;
       double payment_sum = 0.0;
-      auto incremental = Drive(index, config, schedule, &payment_sum);
+      std::vector<std::vector<model::BillboardId>> sets;
+      auto incremental = Drive(index, config, schedule, &payment_sum, &sets);
+      std::vector<std::vector<model::BillboardId>> twin_sets;
+      auto twin_days = Drive(twin, config, schedule, nullptr, &twin_sets);
 
       SCOPED_TRACE("seed " + std::to_string(seed) + " threshold " +
                    std::to_string(threshold));
@@ -170,6 +180,26 @@ TEST(IncrementalReplanTest, DriftBoundHoldsAcrossRandomizedSchedules) {
         if (day.mode == ReplanMode::kIncremental) ++incremental_days;
       }
       EXPECT_GE(incremental_days, 1);
+
+      ASSERT_EQ(twin_days.size(), incremental.size());
+      for (size_t d = 0; d < incremental.size(); ++d) {
+        SCOPED_TRACE("compressed twin, day " + std::to_string(d + 1));
+        const DayResult& want = incremental[d];
+        const DayResult& got = twin_days[d];
+        EXPECT_EQ(got.breakdown.total, want.breakdown.total);
+        EXPECT_EQ(got.breakdown.excessive, want.breakdown.excessive);
+        EXPECT_EQ(got.breakdown.unsatisfied_penalty,
+                  want.breakdown.unsatisfied_penalty);
+        EXPECT_EQ(got.breakdown.satisfied_count,
+                  want.breakdown.satisfied_count);
+        EXPECT_EQ(got.breakdown.advertiser_count,
+                  want.breakdown.advertiser_count);
+        EXPECT_EQ(got.admitted_tickets, want.admitted_tickets);
+        EXPECT_EQ(got.boards_touched, want.boards_touched);
+        EXPECT_EQ(got.reoptimized_advertisers, want.reoptimized_advertisers);
+        EXPECT_EQ(got.full_solve_fallback, want.full_solve_fallback);
+      }
+      EXPECT_EQ(twin_sets, sets);
     }
   }
 }

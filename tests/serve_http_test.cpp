@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "serve/market_server.h"
 #include "test_util.h"
 
@@ -174,45 +175,50 @@ TEST(HttpParseTest, ContentLengthAcceptsOnlyPlainDigits) {
             StatusCode::kInvalidArgument);
 }
 
-// Feeds raw wire bytes through a socketpair into ReadHttpRequest, the
-// same path MarketServer uses for real connections.
-common::Result<HttpRequest> ReadRequestFromWire(const std::string& wire) {
-  int fds[2] = {-1, -1};
-  if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    return common::Status::IoError("socketpair failed");
+// Feeds raw wire bytes to a fresh RequestFramer — the framer MarketServer
+// runs on every connection — in `chunk`-byte pieces, and frames the first
+// request. Input that ends before a request completes is kIoError.
+common::Result<HttpRequest> FrameFromWire(
+    const std::string& wire,
+    size_t chunk = kMaxHttpHeadBytes + kMaxHttpBodyBytes) {
+  RequestFramer framer;
+  for (size_t pos = 0; pos < wire.size(); pos += chunk) {
+    framer.Feed(wire.data() + pos, std::min(chunk, wire.size() - pos));
+    HttpRequest request;
+    common::Status error;
+    switch (framer.Next(&request, &error)) {
+      case RequestFramer::Outcome::kRequest:
+        return request;
+      case RequestFramer::Outcome::kError:
+        return error;
+      case RequestFramer::Outcome::kNeedMore:
+        break;
+    }
   }
-  common::Status written = WriteAll(fds[1], wire);
-  close(fds[1]);  // EOF afterwards, so truncated input fails cleanly
-  if (!written.ok()) {
-    close(fds[0]);
-    return written;
-  }
-  auto parsed = ReadHttpRequest(fds[0]);
-  close(fds[0]);
-  return parsed;
+  return common::Status::IoError("input ended before a complete request");
 }
 
-TEST(HttpReadRequestTest, ReadsBodyPerContentLength) {
-  auto parsed = ReadRequestFromWire(
+TEST(RequestFramerTest, ReadsBodyPerContentLength) {
+  auto parsed = FrameFromWire(
       "POST /contracts HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->body, "hello");
   // No Content-Length means no body.
-  auto bare = ReadRequestFromWire("GET / HTTP/1.1\r\n\r\n");
+  auto bare = FrameFromWire("GET / HTTP/1.1\r\n\r\n");
   ASSERT_TRUE(bare.ok()) << bare.status().ToString();
   EXPECT_EQ(bare->body, "");
 }
 
-TEST(HttpReadRequestTest, RejectsConflictingDuplicateContentLength) {
-  auto parsed = ReadRequestFromWire(
+TEST(RequestFramerTest, RejectsConflictingDuplicateContentLength) {
+  auto parsed = FrameFromWire(
       "POST / HTTP/1.1\r\n"
       "Content-Length: 5\r\n"
       "Content-Length: 6\r\n\r\nhello!");
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(HttpReadRequestTest, AcceptsRepeatedIdenticalContentLength) {
-  auto parsed = ReadRequestFromWire(
+TEST(RequestFramerTest, AcceptsRepeatedIdenticalContentLength) {
+  auto parsed = FrameFromWire(
       "POST / HTTP/1.1\r\n"
       "Content-Length: 5\r\n"
       "Content-Length: 5\r\n\r\nhello");
@@ -220,9 +226,9 @@ TEST(HttpReadRequestTest, AcceptsRepeatedIdenticalContentLength) {
   EXPECT_EQ(parsed->body, "hello");
 }
 
-TEST(HttpReadRequestTest, RejectsMalformedContentLengthOnTheWire) {
+TEST(RequestFramerTest, RejectsMalformedContentLengthOnTheWire) {
   for (const char* bad : {"+5", "5x", "0x10", "1e2"}) {
-    auto parsed = ReadRequestFromWire(
+    auto parsed = FrameFromWire(
         std::string("POST / HTTP/1.1\r\nContent-Length: ") + bad +
         "\r\n\r\n12345");
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
@@ -230,16 +236,16 @@ TEST(HttpReadRequestTest, RejectsMalformedContentLengthOnTheWire) {
   }
 }
 
-TEST(HttpReadRequestTest, HeadStraddlingRecvChunksStillParses) {
-  // Pad the head so the \r\n\r\n terminator straddles ReadUntil's
-  // 4096-byte recv boundary — the resumed scan must still find it.
+TEST(RequestFramerTest, HeadStraddlingFeedChunksStillParses) {
+  // Pad the head so the \r\n\r\n terminator straddles the boundary of
+  // the 4096-byte feeds — the resumed scan must still find it.
   std::string head = "POST /pad HTTP/1.1\r\nContent-Length: 3\r\nx-pad: ";
   const size_t marker_start = 4094;
   ASSERT_LT(head.size(), marker_start);
   const size_t pad = marker_start - head.size();
   head += std::string(pad, 'a');
   head += "\r\n\r\n";
-  auto parsed = ReadRequestFromWire(head + "abc");
+  auto parsed = FrameFromWire(head + "abc", 4096);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->body, "abc");
   EXPECT_EQ(parsed->HeaderOr("x-pad").size(), pad);
@@ -247,65 +253,150 @@ TEST(HttpReadRequestTest, HeadStraddlingRecvChunksStillParses) {
 
 // --- Deadlines and interruption --------------------------------------------
 
-TEST(HttpDeadlineTest, IdleTimeoutTripsOnAStalledPeer) {
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  // Partial head, then silence with the connection held open — the
-  // classic slow-loris shape.
-  ASSERT_TRUE(WriteAll(fds[1], "POST /contracts HTTP/1.1\r\n").ok());
-  HttpTimeouts timeouts;
-  timeouts.idle_ms = 60;
-  auto parsed = ReadHttpRequest(fds[0], timeouts);
-  EXPECT_EQ(parsed.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(parsed.status().message().find("idle"), std::string::npos)
-      << parsed.status().ToString();
-  close(fds[0]);
-  close(fds[1]);
+/// A listening socket on an ephemeral loopback port; *port receives the
+/// port. The caller accepts and closes.
+int ListenOnLoopback(int* port) {
+  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listen_fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t len = sizeof(addr);
+  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::listen(listen_fd, 1) != 0 ||
+      ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) !=
+          0) {
+    ::close(listen_fd);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return listen_fd;
 }
 
-TEST(HttpDeadlineTest, TotalBudgetTripsOnADribblingPeer) {
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+/// An HttpClient connected over loopback to a peer socket the test
+/// drives by hand, playing the server.
+class HttpClientReadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    int port = 0;
+    const int listen_fd = ListenOnLoopback(&port);
+    ASSERT_GE(listen_fd, 0);
+    ASSERT_TRUE(client_.Connect("127.0.0.1", port).ok());
+    peer_ = ::accept(listen_fd, nullptr, nullptr);
+    ::close(listen_fd);
+    ASSERT_GE(peer_, 0);
+  }
+  void TearDown() override {
+    if (peer_ >= 0) ::close(peer_);
+    common::FaultInjector::Global().Disarm();
+  }
+
+  HttpClient client_;
+  int peer_ = -1;
+};
+
+TEST_F(HttpClientReadTest, IdleTimeoutTripsOnAStalledPeer) {
+  // Partial head, then silence with the connection held open — the
+  // classic slow-loris shape.
+  ASSERT_TRUE(WriteAll(peer_, "HTTP/1.1 200 OK\r\n").ok());
+  HttpTimeouts timeouts;
+  timeouts.idle_ms = 60;
+  auto read = client_.ReadResponse(timeouts);
+  EXPECT_EQ(read.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(read.status().message().find("idle"), std::string::npos)
+      << read.status().ToString();
+}
+
+TEST_F(HttpClientReadTest, TotalBudgetTripsOnADribblingPeer) {
   // One header byte every 15ms stays under any reasonable idle budget
-  // forever; only the whole-request budget can stop it.
+  // forever; only the whole-response budget can stop it.
   std::atomic<bool> stop{false};
   std::thread dribbler([&] {
     while (!stop.load()) {
-      if (::send(fds[1], "a", 1, MSG_NOSIGNAL) <= 0) break;
+      if (::send(peer_, "a", 1, MSG_NOSIGNAL) <= 0) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(15));
     }
   });
   HttpTimeouts timeouts;
   timeouts.idle_ms = -1;
   timeouts.total_ms = 120;
-  auto parsed = ReadHttpRequest(fds[0], timeouts);
-  EXPECT_EQ(parsed.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(parsed.status().message().find("budget"), std::string::npos)
-      << parsed.status().ToString();
+  auto read = client_.ReadResponse(timeouts);
   stop.store(true);
   dribbler.join();
-  close(fds[0]);
-  close(fds[1]);
+  EXPECT_EQ(read.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(read.status().message().find("budget"), std::string::npos)
+      << read.status().ToString();
 }
 
-TEST(HttpDeadlineTest, EqualIdleAndTotalBudgetsReportTheTotal) {
+TEST_F(HttpClientReadTest, EqualIdleAndTotalBudgetsReportTheTotal) {
   // Regression: with idle_ms == remaining total budget the poll wait was
   // the same number either way, and the expiry was misattributed to the
   // idle timeout. The total budget must win the tie.
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  ASSERT_TRUE(WriteAll(fds[1], "POST /contracts HTTP/1.1\r\n").ok());
+  ASSERT_TRUE(WriteAll(peer_, "HTTP/1.1 200 OK\r\n").ok());
   HttpTimeouts timeouts;
   timeouts.idle_ms = 120;
   timeouts.total_ms = 120;
-  auto parsed = ReadHttpRequest(fds[0], timeouts);
-  EXPECT_EQ(parsed.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(parsed.status().message().find("budget"), std::string::npos)
-      << parsed.status().ToString();
-  EXPECT_EQ(parsed.status().message().find("idle"), std::string::npos)
-      << parsed.status().ToString();
-  close(fds[0]);
-  close(fds[1]);
+  auto read = client_.ReadResponse(timeouts);
+  EXPECT_EQ(read.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(read.status().message().find("budget"), std::string::npos)
+      << read.status().ToString();
+  EXPECT_EQ(read.status().message().find("idle"), std::string::npos)
+      << read.status().ToString();
+}
+
+void Sigusr1Noop(int) {}
+
+TEST_F(HttpClientReadTest, EintrDuringBlockingReadIsRetried) {
+  // A handler installed WITHOUT SA_RESTART makes recv/poll return EINTR;
+  // the reader must absorb that and finish the parse.
+  struct sigaction action = {};
+  action.sa_handler = Sigusr1Noop;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // no SA_RESTART: syscalls really get EINTR
+  struct sigaction previous = {};
+  ASSERT_EQ(sigaction(SIGUSR1, &action, &previous), 0);
+
+  common::Result<HttpResponse> read = common::Status::Internal("never ran");
+  std::thread reader([&] { read = client_.ReadResponse(); });
+  pthread_t handle = reader.native_handle();
+
+  // Pepper the blocked reader with signals, then complete the response.
+  for (int i = 0; i < 5; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pthread_kill(handle, SIGUSR1);
+  }
+  ASSERT_TRUE(
+      WriteAll(peer_, "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")
+          .ok());
+  pthread_kill(handle, SIGUSR1);
+  reader.join();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->body, "hello");
+
+  sigaction(SIGUSR1, &previous, nullptr);
+}
+
+TEST_F(HttpClientReadTest, ServerSlowReadFaultDoesNotStallClientReads) {
+  // Regression: the client's recv used to draw the server's
+  // serve.slow_read point, so an armed chaos run stalled in-process
+  // clients too and shared the point's decision stream between client
+  // and server threads.
+  ASSERT_TRUE(common::FaultInjector::Global()
+                  .ArmFromSpec("seed=1;serve.slow_read=1.0:300")
+                  .ok());
+  HttpResponse canned;
+  canned.keep_alive = true;
+  canned.body = "{}";
+  ASSERT_TRUE(WriteAll(peer_, canned.Serialize()).ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto read = client_.ReadResponse();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->body, "{}");
+  EXPECT_LT(elapsed, std::chrono::milliseconds(150));
+  EXPECT_EQ(common::FaultInjector::Global().FireCount("serve.slow_read"), 0);
 }
 
 TEST(HttpDeadlineTest, WriteAllTimesOutWhenPeerStopsDraining) {
@@ -322,43 +413,6 @@ TEST(HttpDeadlineTest, WriteAllTimesOutWhenPeerStopsDraining) {
   common::Status status = WriteAll(fds[1], big, timeouts);
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
       << status.ToString();
-  close(fds[0]);
-  close(fds[1]);
-}
-
-void Sigusr1Noop(int) {}
-
-TEST(HttpDeadlineTest, EintrDuringBlockingReadIsRetried) {
-  // A handler installed WITHOUT SA_RESTART makes recv/poll return EINTR;
-  // the reader must absorb that and finish the parse.
-  struct sigaction action = {};
-  action.sa_handler = Sigusr1Noop;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;  // no SA_RESTART: syscalls really get EINTR
-  struct sigaction previous = {};
-  ASSERT_EQ(sigaction(SIGUSR1, &action, &previous), 0);
-
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  common::Result<HttpRequest> parsed =
-      common::Status::Internal("never ran");
-  std::thread reader([&] { parsed = ReadHttpRequest(fds[0]); });
-  pthread_t handle = reader.native_handle();
-
-  // Pepper the blocked reader with signals, then complete the request.
-  for (int i = 0; i < 5; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    pthread_kill(handle, SIGUSR1);
-  }
-  ASSERT_TRUE(
-      WriteAll(fds[1], "POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello")
-          .ok());
-  pthread_kill(handle, SIGUSR1);
-  reader.join();
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->body, "hello");
-
-  sigaction(SIGUSR1, &previous, nullptr);
   close(fds[0]);
   close(fds[1]);
 }
@@ -410,21 +464,9 @@ TEST(HttpHeadersTest, HttpFetchParsesResponseHeaders) {
   // One-shot server: accept a single connection, answer with extra
   // headers, close. Exercises the client-side header parse over a real
   // socket.
-  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int port = 0;
+  const int listen_fd = ListenOnLoopback(&port);
   ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(
-      ::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-      0);
-  ASSERT_EQ(::listen(listen_fd, 1), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(
-      ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
-      0);
-  const int port = ntohs(addr.sin_port);
 
   HttpResponse canned;
   canned.status = 429;

@@ -61,6 +61,19 @@ inline influence::InfluenceIndex IndexFromIncidence(
   return index;
 }
 
+/// The compressed twin of a plain-list index: both directions encoded
+/// with the snapshot writer's codec and served through FromCompressed —
+/// the shape an mmap-booted server runs on, without the file.
+inline influence::InfluenceIndex CompressedTwin(
+    const influence::InfluenceIndex& plain) {
+  return influence::InfluenceIndex::FromCompressed(
+      cindex::CompressedPostings::Build(plain.covered(),
+                                        plain.num_trajectories()),
+      cindex::CompressedPostings::Build(plain.covering(),
+                                        plain.num_billboards()),
+      plain.lambda());
+}
+
 /// Shorthand advertiser constructor.
 inline market::Advertiser Adv(market::AdvertiserId id, int64_t demand,
                               double payment) {
