@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks of the solver algorithms on a small
 // NYC-like market: greedy heuristics, the local searches, and the
-// assignment move primitives they are built from.
+// assignment move primitives they are built from. Exhaustive BLS also
+// runs on a dense lambda = 1000 m city.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -20,16 +21,16 @@ struct Fixture {
   influence::InfluenceIndex index;
   std::vector<market::Advertiser> advertisers;
 
-  Fixture()
-      : dataset([] {
+  Fixture(int32_t num_billboards, int32_t num_trajectories, double lambda,
+          market::WorkloadConfig workload = {})
+      : dataset([&] {
           gen::NycLikeConfig config;
-          config.num_billboards = 300;
-          config.num_trajectories = 3000;
+          config.num_billboards = num_billboards;
+          config.num_trajectories = num_trajectories;
           common::Rng rng(1);
           return gen::GenerateNycLike(config, &rng);
         }()),
-        index(influence::InfluenceIndex::Build(dataset, 100.0)) {
-    market::WorkloadConfig workload;  // alpha=1, p=5% -> 20 advertisers
+        index(influence::InfluenceIndex::Build(dataset, lambda)) {
     common::Rng rng(7);
     advertisers = market::GenerateAdvertisers(index.TotalSupply(), workload,
                                               &rng)
@@ -37,8 +38,27 @@ struct Fixture {
   }
 };
 
+// The default workload: alpha = 1, p = 5% -> 20 advertisers.
 Fixture& TheFixture() {
-  static Fixture* fixture = new Fixture();
+  static Fixture* fixture = new Fixture(300, 3000, 100.0);
+  return *fixture;
+}
+
+// The dense city of micro_influence's codec benches (400 billboards, 4000
+// trajectories, lambda = 1000 m): covering lists average ~39 boards per
+// trajectory, against ~0.55 on the city mroam_serve generates by default,
+// so it is where the BLS scans' correction walk costs most. A board there
+// meets ~390 trajectories, so the paper's p = 5% of I* = Σ_o I({o}) would
+// ask ~7900 of the 4000 each advertiser can reach at all; p = 1% and
+// alpha = 0.2 give 20 advertisers wanting ~1300-1900 trajectories, a
+// handful of boards each.
+Fixture& DenseFixture() {
+  static Fixture* fixture = [] {
+    market::WorkloadConfig workload;
+    workload.alpha = 0.2;
+    workload.avg_individual_demand_ratio = 0.01;
+    return new Fixture(400, 4000, 1000.0, workload);
+  }();
   return *fixture;
 }
 
@@ -121,6 +141,44 @@ void BM_BillboardDrivenLocalSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BillboardDrivenLocalSearch)->Unit(benchmark::kMillisecond);
+
+// Exhaustive BLS (max_exchange_candidates = 0, the paper's neighborhood
+// and what DailyMarket runs) from the SynchronousGreedy plan. Moves 1-2
+// are scored from per-scan tables here; the capped bench above samples
+// pair by pair. bls.deltas_evaluated is deterministic per fixture, so
+// check_bls_regression gates it as an exact ceiling; the final regret
+// rides along so a faster scan that finds a worse plan shows.
+void RunExhaustiveBlsBench(benchmark::State& state, const Fixture& f) {
+  core::Assignment greedy(&f.index, f.advertisers, core::RegretParams{0.5});
+  core::SynchronousGreedy(&greedy);
+  core::LocalSearchStats stats;
+  double regret = 0.0;
+  for (auto _ : state) {
+    core::Assignment s = greedy;
+    core::LocalSearchConfig config;
+    common::Rng rng(3);
+    stats = core::BillboardDrivenLocalSearch(&s, config, &rng);
+    regret = s.TotalRegret();
+    benchmark::DoNotOptimize(regret);
+  }
+  state.counters["bls.deltas_evaluated"] =
+      benchmark::Counter(static_cast<double>(stats.deltas_evaluated));
+  state.counters["bls.moves_applied"] =
+      benchmark::Counter(static_cast<double>(stats.moves_applied));
+  state.counters["regret"] = benchmark::Counter(regret);
+}
+
+void BM_BillboardDrivenLocalSearchExhaustive(benchmark::State& state) {
+  RunExhaustiveBlsBench(state, TheFixture());
+}
+BENCHMARK(BM_BillboardDrivenLocalSearchExhaustive)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_BillboardDrivenLocalSearchExhaustiveDense(benchmark::State& state) {
+  RunExhaustiveBlsBench(state, DenseFixture());
+}
+BENCHMARK(BM_BillboardDrivenLocalSearchExhaustiveDense)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DeltaExchangeAcross(benchmark::State& state) {
   Fixture& f = TheFixture();

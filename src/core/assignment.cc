@@ -75,15 +75,13 @@ RegretBreakdown Assignment::Breakdown() const {
 
 double Assignment::DeltaAssign(BillboardId o, AdvertiserId a) const {
   MROAM_DCHECK(owner_[o] == kNoAdvertiser);
-  int64_t new_influence = InfluenceOf(a) + counters_[a].MarginalGain(o);
-  return Regret(advertisers_[a], new_influence, params_) - regret_[a];
+  return RegretDelta(a, InfluenceOf(a) + counters_[a].MarginalGain(o));
 }
 
 double Assignment::DeltaRelease(BillboardId o) const {
   AdvertiserId a = owner_[o];
   MROAM_DCHECK(a != kNoAdvertiser);
-  int64_t new_influence = InfluenceOf(a) - counters_[a].MarginalLoss(o);
-  return Regret(advertisers_[a], new_influence, params_) - regret_[a];
+  return RegretDelta(a, InfluenceOf(a) - counters_[a].MarginalLoss(o));
 }
 
 double Assignment::DeltaExchangeAcross(BillboardId om, BillboardId on) const {
@@ -94,8 +92,7 @@ double Assignment::DeltaExchangeAcross(BillboardId om, BillboardId on) const {
                   counters_[a].MarginalGainAfterRemove(on, om);
   int64_t new_b = InfluenceOf(b) - counters_[b].MarginalLoss(on) +
                   counters_[b].MarginalGainAfterRemove(om, on);
-  return Regret(advertisers_[a], new_a, params_) +
-         Regret(advertisers_[b], new_b, params_) - regret_[a] - regret_[b];
+  return RegretDelta(a, new_a, b, new_b);
 }
 
 double Assignment::DeltaReplace(BillboardId om, BillboardId on) const {
@@ -104,16 +101,14 @@ double Assignment::DeltaReplace(BillboardId om, BillboardId on) const {
   MROAM_DCHECK(owner_[on] == kNoAdvertiser);
   int64_t new_a = InfluenceOf(a) - counters_[a].MarginalLoss(om) +
                   counters_[a].MarginalGainAfterRemove(on, om);
-  return Regret(advertisers_[a], new_a, params_) - regret_[a];
+  return RegretDelta(a, new_a);
 }
 
 double Assignment::DeltaSwapSets(AdvertiserId i, AdvertiserId j) const {
   MROAM_DCHECK(i != j);
   // I(S) depends only on the set, so after the swap advertiser i achieves
   // I(S_j) and vice versa.
-  double new_i = Regret(advertisers_[i], InfluenceOf(j), params_);
-  double new_j = Regret(advertisers_[j], InfluenceOf(i), params_);
-  return new_i + new_j - regret_[i] - regret_[j];
+  return RegretDelta(i, InfluenceOf(j), j, InfluenceOf(i));
 }
 
 void Assignment::RecomputeRegret(AdvertiserId a) {

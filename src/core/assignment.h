@@ -125,6 +125,23 @@ class Assignment {
   // Each returns (regret after move) - (regret before move); negative is
   // an improvement.
 
+  /// The regret arithmetic every delta below shares: the move leaves `a`
+  /// at influence `new_a`. The BLS scan tables (core::MoveScanTables)
+  /// feed their influences through the same expression, so their deltas
+  /// equal these bit for bit.
+  double RegretDelta(market::AdvertiserId a, int64_t new_a) const {
+    return Regret(advertisers_[a], new_a, params_) - regret_[a];
+  }
+
+  /// Two-advertiser form: `a` ends at `new_a` and `b` at `new_b`,
+  /// evaluated as Ra + Rb − ra − rb in that order.
+  double RegretDelta(market::AdvertiserId a, int64_t new_a,
+                     market::AdvertiserId b, int64_t new_b) const {
+    return Regret(advertisers_[a], new_a, params_) +
+           Regret(advertisers_[b], new_b, params_) - regret_[a] -
+           regret_[b];
+  }
+
   /// Assign free billboard `o` to `a`.
   double DeltaAssign(model::BillboardId o, market::AdvertiserId a) const;
 

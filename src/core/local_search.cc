@@ -60,133 +60,149 @@ LocalSearchStats AdvertiserDrivenLocalSearch(Assignment* assignment,
   return stats;
 }
 
+void MoveScanTables::Start(const Assignment& assignment, AdvertiserId i,
+                           AdvertiserId j) {
+  s_ = &assignment;
+  i_ = i;
+  j_ = j;
+  rows_ = &assignment.BillboardsOf(i);
+  const bool exchange = j != market::kNoAdvertiser;
+  cols_ = exchange ? &assignment.BillboardsOf(j)
+                   : &assignment.FreeBillboards();
+  base_i_ = assignment.InfluenceOf(i);
+  base_j_ = exchange ? assignment.InfluenceOf(j) : 0;
+  // Resize, not assign: the storage outlives the scan, so after the first
+  // scans no call allocates. corr_ stays zero outside touched_.
+  corr_.resize(static_cast<size_t>(assignment.num_billboards()));
+  const size_t n = cols_->size();
+  col_gain_.resize(n);
+  col_loss_.resize(exchange ? n : 0);
+  const influence::CoverageCounter& ci = assignment.CounterOf(i);
+  for (size_t y = 0; y < n; ++y) col_gain_[y] = ci.MarginalGain((*cols_)[y]);
+  if (exchange) {
+    const influence::CoverageCounter& cj = assignment.CounterOf(j);
+    for (size_t y = 0; y < n; ++y) col_loss_[y] = cj.MarginalLoss((*cols_)[y]);
+  }
+}
+
+void MoveScanTables::LoadRow(size_t x) {
+  for (BillboardId o : touched_) corr_[o] = Correction{};
+  touched_.clear();
+  const BillboardId om = (*rows_)[x];
+  const influence::CoverageCounter& ci = s_->CounterOf(i_);
+  const influence::CoverageCounter* cj = nullptr;
+  row_loss_ = ci.MarginalLoss(om);
+  if (j_ != market::kNoAdvertiser) {
+    cj = &s_->CounterOf(j_);
+    row_gain_ = cj->MarginalGain(om);
+  }
+  // Columns are exactly the boards j_ owns (kNoAdvertiser: the free pool).
+  ci.ForEachRemoveShift(om, cj, [this](BillboardId o, int shift,
+                                       int partner_shift) {
+    if (s_->OwnerOf(o) != j_) return;
+    Correction& corr = corr_[o];
+    if (corr.own == 0 && corr.partner == 0) touched_.push_back(o);
+    corr.own += shift;
+    corr.partner += partner_shift;
+  });
+}
+
 namespace {
 
-/// BLS move 1 for one advertiser pair: scan (o_m in S_i, o_n in S_j) and
-/// apply the first improving cross exchange. Returns true if applied.
-bool TryExchangeAcrossPair(Assignment* assignment, AdvertiserId i,
-                           AdvertiserId j, const LocalSearchConfig& config,
-                           common::Rng* rng, LocalSearchStats* stats) {
-  MROAM_TRACE_SPAN("bls.move.exchange");
-  // Snapshot the scan lists by value: ExchangeAcross reorders both
-  // owners' lists, so scanning live references into BillboardsOf() while
-  // a first-improvement move mutates them would be use-after-invalidate.
-  const std::vector<BillboardId> si = assignment->BillboardsOf(i);
-  const std::vector<BillboardId> sj = assignment->BillboardsOf(j);
-  if (si.empty() || sj.empty()) return false;
+/// The candidate a scan of move 1 or 2 picked, if any.
+struct Pick {
+  BillboardId om = model::kInvalidBillboard;
+  BillboardId on = model::kInvalidBillboard;
+  double delta = 0.0;
+  bool found() const { return om != model::kInvalidBillboard; }
+};
 
-  const int64_t pairs =
-      static_cast<int64_t>(si.size()) * static_cast<int64_t>(sj.size());
-  const int64_t cap = config.max_exchange_candidates;
+/// DeltaExchangeAcross or (j == kNoAdvertiser) DeltaReplace.
+double ReferenceDelta(const Assignment& s, AdvertiserId j, BillboardId om,
+                      BillboardId on) {
+  return j == market::kNoAdvertiser ? s.DeltaReplace(om, on)
+                                    : s.DeltaExchangeAcross(om, on);
+}
 
-  // Tracks the best improving candidate when best_improvement is set.
-  BillboardId best_om = model::kInvalidBillboard;
-  BillboardId best_on = model::kInvalidBillboard;
-  double best_delta = 0.0;
-  auto consider = [&](BillboardId om, BillboardId on) -> bool {
+/// Scans (o_m, o_n) in S_i × S_j (move 1) or, with j == kNoAdvertiser,
+/// S_i × the free pool (move 2) and picks the first accepted candidate, or
+/// the best under config.best_improvement. The scan mutates nothing — the
+/// caller applies the pick — so it walks the live lists. A scan with more
+/// pairs than a positive config.max_exchange_candidates samples that many
+/// pairs through the Delta* queries; every other scan is exhaustive, in
+/// the paper's order, and scored from `tables`.
+Pick PickMove(const Assignment& s, AdvertiserId i, AdvertiserId j,
+              const LocalSearchConfig& config, common::Rng* rng,
+              MoveScanTables* tables, LocalSearchStats* stats) {
+  Pick best;
+  const std::vector<BillboardId>& rows = s.BillboardsOf(i);
+  const std::vector<BillboardId>& cols =
+      j == market::kNoAdvertiser ? s.FreeBillboards() : s.BillboardsOf(j);
+  if (rows.empty() || cols.empty()) return best;
+
+  // Returns true when the scan should stop at this candidate.
+  auto consider = [&](BillboardId om, BillboardId on, double delta) {
     ++stats->deltas_evaluated;
-    double delta = assignment->DeltaExchangeAcross(om, on);
-    if (!Accepts(delta, assignment->TotalRegret(),
-                 config.improvement_ratio)) {
+    if (!Accepts(delta, s.TotalRegret(), config.improvement_ratio)) {
       return false;
     }
     if (!config.best_improvement) {
-      assignment->ExchangeAcross(om, on);
-      ++stats->moves_applied;
-      MROAM_COUNTER_ADD("bls.moves.exchange", 1);
-      return true;  // applied: stop scanning
+      best = {om, on, delta};
+      return true;
     }
-    if (delta < best_delta) {
-      best_delta = delta;
-      best_om = om;
-      best_on = on;
-    }
-    return false;  // keep scanning for a better one
+    if (delta < best.delta) best = {om, on, delta};
+    return false;
   };
 
+  const int64_t pairs =
+      static_cast<int64_t>(rows.size()) * static_cast<int64_t>(cols.size());
+  const int64_t cap = config.max_exchange_candidates;
   if (cap > 0 && pairs > cap) {
-    // Sampled scan: examine `cap` uniformly random pairs.
     for (int64_t k = 0; k < cap; ++k) {
-      BillboardId om = si[rng->UniformU64(si.size())];
-      BillboardId on = sj[rng->UniformU64(sj.size())];
-      if (consider(om, on)) return true;
+      BillboardId om = rows[rng->UniformU64(rows.size())];
+      BillboardId on = cols[rng->UniformU64(cols.size())];
+      if (consider(om, on, ReferenceDelta(s, j, om, on))) break;
     }
-  } else {
-    // Exhaustive scan (the paper's ∃ o_m, o_n neighborhood).
-    for (BillboardId om : si) {
-      for (BillboardId on : sj) {
-        if (consider(om, on)) return true;
-      }
+    return best;
+  }
+  tables->Start(s, i, j);
+  for (size_t x = 0; x < rows.size(); ++x) {
+    tables->LoadRow(x);
+    for (size_t y = 0; y < cols.size(); ++y) {
+      const double delta = tables->Delta(y);
+      MROAM_DCHECK(delta == ReferenceDelta(s, j, rows[x], cols[y]));
+      if (consider(rows[x], cols[y], delta)) return best;
     }
   }
-  if (best_om != model::kInvalidBillboard) {
-    assignment->ExchangeAcross(best_om, best_on);
-    ++stats->moves_applied;
-    MROAM_COUNTER_ADD("bls.moves.exchange", 1);
-    return true;
-  }
-  return false;
+  return best;
+}
+
+/// BLS move 1 for one advertiser pair: apply the exchange PickMove finds.
+bool TryExchangeAcrossPair(Assignment* assignment, AdvertiserId i,
+                           AdvertiserId j, const LocalSearchConfig& config,
+                           common::Rng* rng, MoveScanTables* tables,
+                           LocalSearchStats* stats) {
+  MROAM_TRACE_SPAN("bls.move.exchange");
+  const Pick pick = PickMove(*assignment, i, j, config, rng, tables, stats);
+  if (!pick.found()) return false;
+  assignment->ExchangeAcross(pick.om, pick.on);
+  ++stats->moves_applied;
+  MROAM_COUNTER_ADD("bls.moves.exchange", 1);
+  return true;
 }
 
 /// BLS move 2: replace an assigned billboard of `i` by a free billboard.
 bool TryReplaceWithFree(Assignment* assignment, AdvertiserId i,
                         const LocalSearchConfig& config, common::Rng* rng,
-                        LocalSearchStats* stats) {
+                        MoveScanTables* tables, LocalSearchStats* stats) {
   MROAM_TRACE_SPAN("bls.move.replace");
-  // Snapshot by value for the same reason as TryExchangeAcrossPair:
-  // Replace reorders both the owner's list and the free pool.
-  const std::vector<BillboardId> si = assignment->BillboardsOf(i);
-  const std::vector<BillboardId> free = assignment->FreeBillboards();
-  if (si.empty() || free.empty()) return false;
-
-  const int64_t pairs =
-      static_cast<int64_t>(si.size()) * static_cast<int64_t>(free.size());
-  const int64_t cap = config.max_exchange_candidates;
-
-  BillboardId best_om = model::kInvalidBillboard;
-  BillboardId best_on = model::kInvalidBillboard;
-  double best_delta = 0.0;
-  auto consider = [&](BillboardId om, BillboardId on) -> bool {
-    ++stats->deltas_evaluated;
-    double delta = assignment->DeltaReplace(om, on);
-    if (!Accepts(delta, assignment->TotalRegret(),
-                 config.improvement_ratio)) {
-      return false;
-    }
-    if (!config.best_improvement) {
-      assignment->Replace(om, on);
-      ++stats->moves_applied;
-      MROAM_COUNTER_ADD("bls.moves.replace", 1);
-      return true;
-    }
-    if (delta < best_delta) {
-      best_delta = delta;
-      best_om = om;
-      best_on = on;
-    }
-    return false;
-  };
-
-  if (cap > 0 && pairs > cap) {
-    for (int64_t k = 0; k < cap; ++k) {
-      BillboardId om = si[rng->UniformU64(si.size())];
-      BillboardId on = free[rng->UniformU64(free.size())];
-      if (consider(om, on)) return true;
-    }
-  } else {
-    for (BillboardId om : si) {
-      for (BillboardId on : free) {
-        if (consider(om, on)) return true;
-      }
-    }
-  }
-  if (best_om != model::kInvalidBillboard) {
-    assignment->Replace(best_om, best_on);
-    ++stats->moves_applied;
-    MROAM_COUNTER_ADD("bls.moves.replace", 1);
-    return true;
-  }
-  return false;
+  const Pick pick = PickMove(*assignment, i, market::kNoAdvertiser, config,
+                             rng, tables, stats);
+  if (!pick.found()) return false;
+  assignment->Replace(pick.om, pick.on);
+  ++stats->moves_applied;
+  MROAM_COUNTER_ADD("bls.moves.replace", 1);
+  return true;
 }
 
 /// BLS move 3: release billboards of `i` whose removal reduces regret.
@@ -237,6 +253,8 @@ LocalSearchStats BillboardDrivenLocalSearchOver(
   // to the rebuild-per-call behaviour.
   std::optional<Assignment> candidate;
   std::optional<LazySelector> completer;
+  // Scan tables for moves 1-2, reused by every scan of this call.
+  MoveScanTables tables;
   bool improved = true;
   while (improved && stats.sweeps < config.max_sweeps) {
     MROAM_TRACE_SPAN_ID("bls.sweep", stats.sweeps);
@@ -247,11 +265,12 @@ LocalSearchStats BillboardDrivenLocalSearchOver(
       // The cross exchange is symmetric, so unordered pairs suffice.
       for (size_t y = x + 1; y < t; ++y) {
         AdvertiserId j = targets[y];
-        if (TryExchangeAcrossPair(assignment, i, j, config, rng, &stats)) {
+        if (TryExchangeAcrossPair(assignment, i, j, config, rng, &tables,
+                                  &stats)) {
           improved = true;
         }
       }
-      if (TryReplaceWithFree(assignment, i, config, rng, &stats)) {
+      if (TryReplaceWithFree(assignment, i, config, rng, &tables, &stats)) {
         improved = true;
       }
       if (TryReleases(assignment, i, config, &stats)) {

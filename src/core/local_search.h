@@ -2,6 +2,7 @@
 #define MROAM_CORE_LOCAL_SEARCH_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/assignment.h"
@@ -22,11 +23,15 @@ struct LocalSearchConfig {
   /// Safety cap on full neighborhood sweeps per local-search invocation.
   int32_t max_sweeps = 50;
 
-  /// BLS only: per advertiser pair, cap on (o_m, o_n) exchange candidates
-  /// examined per sweep. 0 = exhaustive (the paper's neighborhood). A
-  /// positive cap samples candidates uniformly — an efficiency knob for
-  /// large instances that does not change the neighborhood definition,
-  /// only which improving move is found first (DESIGN.md §5.2).
+  /// BLS only: cap on the (o_m, o_n) candidates one scan of move 1 or 2
+  /// examines per sweep — |S_i| × |S_j| pairs for the exchange of an
+  /// advertiser pair, |S_i| × |free pool| for the replace of advertiser
+  /// i. 0 = exhaustive (the paper's neighborhood). When a scan has more
+  /// pairs than a positive cap, it samples `cap` of them uniformly — an
+  /// efficiency knob for large instances that does not change the
+  /// neighborhood definition, only which improving move is found first.
+  /// Exhaustive scans are scored from per-scan tables, sampled ones
+  /// pair by pair (DESIGN.md §5.2).
   int64_t max_exchange_candidates = 0;
 
   /// BLS only: when true, each exchange scan (moves 1-2) applies the
@@ -62,6 +67,69 @@ struct LocalSearchStats {
   int64_t moves_applied = 0;
   int64_t deltas_evaluated = 0;
   int32_t sweeps = 0;
+};
+
+/// Scores an exhaustive scan of BLS move 1 or 2 from per-scan tables
+/// (DESIGN.md §5.2). A scan does not mutate the assignment, so each row
+/// board o_m's MarginalLoss and each column board o_n's MarginalGain are
+/// computed once per scan, and the gain of o_n after removing o_m is
+///   MarginalGain(o_n) + Σ_{t ∈ L(o_m) ∩ L(o_n)} ([c_t = m] − [c_t = m−1]),
+/// whose sums one CoverageCounter::ForEachRemoveShift walk of o_m fills
+/// for every column at once. The same integers then go through
+/// Assignment::RegretDelta, so every delta equals DeltaExchangeAcross /
+/// DeltaReplace bit for bit. BillboardDrivenLocalSearchOver owns one per
+/// call and reuses its storage across scans; the tables are valid until
+/// the assignment next changes.
+class MoveScanTables {
+ public:
+  /// Starts the scan of advertiser `i`'s billboards (the rows) against
+  /// advertiser `j`'s (move 1, the cross exchange) or, with
+  /// j == market::kNoAdvertiser, against the free pool (move 2, replace).
+  void Start(const Assignment& assignment, market::AdvertiserId i,
+             market::AdvertiserId j);
+
+  /// o_m candidates, S_i.
+  const std::vector<model::BillboardId>& rows() const { return *rows_; }
+  /// o_n candidates, S_j or the free pool.
+  const std::vector<model::BillboardId>& cols() const { return *cols_; }
+
+  /// Fills the tables of row `x`; Delta then scores (rows()[x], o_n).
+  void LoadRow(size_t x);
+
+  /// The regret delta of moving (rows()[x], cols()[y]) for the loaded
+  /// row x.
+  double Delta(size_t y) const {
+    const model::BillboardId on = (*cols_)[y];
+    const Correction& corr = corr_[on];
+    const int64_t new_i = base_i_ - row_loss_ + col_gain_[y] + corr.own;
+    if (j_ == market::kNoAdvertiser) return s_->RegretDelta(i_, new_i);
+    const int64_t new_j = base_j_ - col_loss_[y] + row_gain_ + corr.partner;
+    return s_->RegretDelta(i_, new_i, j_, new_j);
+  }
+
+ private:
+  /// The summed shifts of one column board against the loaded row: for
+  /// i's gain of o_n after removing o_m, and (exchange) for j's gain of
+  /// o_m after removing o_n.
+  struct Correction {
+    int32_t own = 0;
+    int32_t partner = 0;
+  };
+
+  const Assignment* s_ = nullptr;
+  market::AdvertiserId i_ = market::kNoAdvertiser;
+  market::AdvertiserId j_ = market::kNoAdvertiser;
+  const std::vector<model::BillboardId>* rows_ = nullptr;
+  const std::vector<model::BillboardId>* cols_ = nullptr;
+  int64_t base_i_ = 0;    ///< I(S_i)
+  int64_t base_j_ = 0;    ///< I(S_j) (exchange)
+  int64_t row_loss_ = 0;  ///< i's MarginalLoss of the row board
+  int64_t row_gain_ = 0;  ///< j's MarginalGain of the row board
+  std::vector<int64_t> col_gain_;  ///< i's MarginalGain, by column
+  std::vector<int64_t> col_loss_;  ///< j's MarginalLoss, by column
+  std::vector<Correction> corr_;   ///< by billboard; zero off touched_
+  /// Entries LoadRow may have made nonzero (repeats allowed).
+  std::vector<model::BillboardId> touched_;
 };
 
 /// Algorithm 4 — Advertiser-driven Local Search: repeatedly exchanges the

@@ -112,6 +112,42 @@ class CoverageCounter {
   int64_t MarginalGainAfterRemove(model::BillboardId add,
                                   model::BillboardId rem) const;
 
+  /// MarginalGainAfterRemove for every board at once (the BLS scans,
+  /// DESIGN.md §5.2). Removing `rem` (counted here) lowers exactly the
+  /// counts on its trajectories L(rem) by one, so for every board `add`
+  /// not counted here
+  ///   MarginalGainAfterRemove(add, rem) = MarginalGain(add)
+  ///       + Σ_{t ∈ L(rem) ∩ L(add)} ([c_t = m] − [c_t = m−1]).
+  /// One walk of L(rem), and of the covering list of each t on it whose
+  /// term is nonzero, calls fn(o, shift, partner_shift) with t's term
+  /// `shift` for every board o covering t; a board's terms sum to its
+  /// correction.
+  ///
+  /// With a `partner` counter over the same index (a cross exchange of rem
+  /// against a board counted there), the same walk also passes t's term
+  /// under the partner's counts: the intersection is symmetric, so those
+  /// sum to the partner's correction for its own gain of rem. The walk then
+  /// skips trajectories the partner does not count, which no partner board
+  /// covers, and the sums are exact for the partner's boards only. Without
+  /// a partner, partner_shift is 0.
+  template <typename Fn>
+  void ForEachRemoveShift(model::BillboardId rem,
+                          const CoverageCounter* partner, Fn&& fn) const {
+    MROAM_DCHECK(partner == nullptr || partner->index_ == index_);
+    index_->ForEachCovered(rem, [&](model::TrajectoryId t) {
+      int partner_shift = 0;
+      if (partner != nullptr) {
+        if (partner->CountOf(t) == 0) return;
+        partner_shift = partner->RemoveShift(t);
+      }
+      const int shift = RemoveShift(t);
+      if (shift == 0 && partner_shift == 0) return;
+      index_->ForEachCovering(t, [&](model::BillboardId o) {
+        fn(o, shift, partner_shift);
+      });
+    });
+  }
+
   /// Number of billboards of S covering trajectory `t`.
   uint16_t CountOf(model::TrajectoryId t) const {
     return compressed_ ? compressed_->CountOf(t) : counts_[t];
@@ -163,6 +199,12 @@ class CoverageCounter {
   const InfluenceIndex& index() const { return *index_; }
 
  private:
+  /// Trajectory `t`'s term in ForEachRemoveShift: [c_t = m] − [c_t = m−1].
+  int RemoveShift(model::TrajectoryId t) const {
+    const uint16_t c = CountOf(t);
+    return (c == threshold_ ? 1 : 0) - (c + 1 == threshold_ ? 1 : 0);
+  }
+
   const InfluenceIndex* index_;
   uint16_t threshold_;
   /// Plain-list state; empty when the compressed delegate is engaged.

@@ -1296,23 +1296,24 @@ void MarketServer::FlushBatch() {
     day = market_.AdvanceDay(std::move(arrivals));
     const double replan_seconds = watch.ElapsedSeconds();
 
-    // Per-arrival outcome: admitted_tickets aligns with the batch order;
-    // look each ticket up in the replanned deployment.
-    std::unordered_map<int64_t, size_t> position;
+    // Per-arrival outcome: AdvanceDay appends today's arrivals to the end
+    // of the book in batch order and nothing reorders the book under
+    // market_mu_, so arrival i sits at size - batch.size() + i.
     const auto& tickets = market_.ActiveTickets();
-    for (size_t i = 0; i < tickets.size(); ++i) position[tickets[i]] = i;
     const auto& sets = market_.ActiveSets();
     const auto& terms = market_.ActiveTerms();
+    MROAM_CHECK(tickets.size() >= batch.size());
+    const size_t first_arrival = tickets.size() - batch.size();
     for (size_t i = 0; i < batch.size(); ++i) {
       const int64_t ticket = day.admitted_tickets[i];
+      const size_t position = first_arrival + i;
       // The 202 promised this ticket number before the replan ran; the
-      // two mints must agree or polls would retrieve someone else's
-      // contract.
+      // two mints and the book position must agree or polls would
+      // retrieve someone else's contract.
       MROAM_CHECK(ticket == batch[i].ticket);
-      auto it = position.find(ticket);
-      MROAM_CHECK(it != position.end());
-      const int64_t influence = index_->InfluenceOfSet(sets[it->second]);
-      const bool satisfied = influence >= terms[it->second].demand;
+      MROAM_CHECK(tickets[position] == ticket);
+      const int64_t influence = index_->InfluenceOfSet(sets[position]);
+      const bool satisfied = influence >= terms[position].demand;
       outcomes[i] = "{\"ticket\":" + std::to_string(ticket) +
                     ",\"status\":\"committed\"" +
                     ",\"day\":" + std::to_string(day.day) +

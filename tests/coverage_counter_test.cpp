@@ -213,7 +213,11 @@ int64_t BruteForceInfluence(const InfluenceIndex& index,
 // MarginalGainAfterRemove relies on sorted incidence lists for its merge
 // pointer; this pins its output to a from-scratch recompute of
 // I(S \ {rem} ∪ {add}) - I(S \ {rem}) on randomized sets so any silent
-// ordering regression (or merge bug) shows up as a wrong gain.
+// ordering regression (or merge bug) shows up as a wrong gain. The
+// ForEachRemoveShift kernel must reach the same gains as
+// MarginalGain(add) plus its summed shifts — alone, and with a partner
+// counter holding the `outside` boards, whose own shifts must give the
+// partner's gain of rem after it drops `add`.
 TEST(CoverageCounterBruteForceTest, GainAfterRemoveMatchesRecompute) {
   for (uint64_t seed : {11u, 22u, 33u, 44u}) {
     for (uint16_t threshold : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
@@ -242,6 +246,8 @@ TEST(CoverageCounterBruteForceTest, GainAfterRemoveMatchesRecompute) {
         }
       }
       if (members.empty() || outside.empty()) continue;
+      CoverageCounter partner(&index, threshold);
+      for (model::BillboardId o : outside) partner.Add(o);
 
       for (model::BillboardId rem : members) {
         std::vector<model::BillboardId> without_rem;
@@ -250,6 +256,19 @@ TEST(CoverageCounterBruteForceTest, GainAfterRemoveMatchesRecompute) {
         }
         const int64_t base =
             BruteForceInfluence(index, without_rem, threshold);
+        std::vector<int64_t> shift(num_billboards, 0);
+        counter.ForEachRemoveShift(
+            rem, nullptr, [&](model::BillboardId o, int s, int partner_s) {
+              shift[o] += s;
+              EXPECT_EQ(partner_s, 0);
+            });
+        std::vector<int64_t> own(num_billboards, 0);
+        std::vector<int64_t> mirrored(num_billboards, 0);
+        counter.ForEachRemoveShift(
+            rem, &partner, [&](model::BillboardId o, int s, int partner_s) {
+              own[o] += s;
+              mirrored[o] += partner_s;
+            });
         for (model::BillboardId add : outside) {
           std::vector<model::BillboardId> swapped = without_rem;
           swapped.push_back(add);
@@ -258,6 +277,27 @@ TEST(CoverageCounterBruteForceTest, GainAfterRemoveMatchesRecompute) {
           EXPECT_EQ(counter.MarginalGainAfterRemove(add, rem), expected)
               << "seed " << seed << " threshold " << threshold << " rem "
               << rem << " add " << add;
+          EXPECT_EQ(counter.MarginalGain(add) + shift[add], expected)
+              << "kernel: seed " << seed << " threshold " << threshold
+              << " rem " << rem << " add " << add;
+          EXPECT_EQ(counter.MarginalGain(add) + own[add], expected)
+              << "kernel with partner: seed " << seed << " threshold "
+              << threshold << " rem " << rem << " add " << add;
+
+          // The partner's side of the exchange: it drops `add`, takes rem.
+          std::vector<model::BillboardId> partner_without;
+          for (model::BillboardId o : outside) {
+            if (o != add) partner_without.push_back(o);
+          }
+          std::vector<model::BillboardId> partner_swapped = partner_without;
+          partner_swapped.push_back(rem);
+          const int64_t partner_expected =
+              BruteForceInfluence(index, partner_swapped, threshold) -
+              BruteForceInfluence(index, partner_without, threshold);
+          EXPECT_EQ(partner.MarginalGain(rem) + mirrored[add],
+                    partner_expected)
+              << "partner: seed " << seed << " threshold " << threshold
+              << " rem " << rem << " add " << add;
         }
       }
     }

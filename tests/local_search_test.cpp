@@ -9,6 +9,7 @@ namespace mroam::core {
 namespace {
 
 using mroam::testing::Adv;
+using mroam::testing::CompressedTwin;
 using mroam::testing::IndexFromIncidence;
 using mroam::testing::PaperExampleAdvertisers;
 using mroam::testing::PaperExampleIncidence;
@@ -231,8 +232,8 @@ TEST_F(PaperExampleSearchTest, StatsAggregateDeterministicAcrossThreadCounts) {
 }
 
 // Exercises the first-improvement exchange scans (moves 1-2) across many
-// sweeps on a randomized instance: the scan lists are snapshots, so the
-// mid-scan mutations must not touch freed storage (run under
+// sweeps on a randomized instance: a scan picks its move and only then
+// applies it, so no list it walks changes under it (run under
 // -DMROAM_SANITIZE=address to make any violation fatal).
 TEST(FirstImprovementTest, ScanSurvivesMidSweepListMutation) {
   common::Rng gen(97);
@@ -258,6 +259,70 @@ TEST(FirstImprovementTest, ScanSurvivesMidSweepListMutation) {
   LocalSearchStats stats = BillboardDrivenLocalSearch(&s, config, &gen);
   EXPECT_GT(stats.moves_applied, 0);
   s.VerifyInvariants();
+}
+
+// The exhaustive scans of moves 1-2 score candidates from per-scan tables.
+// Every table delta must equal the per-candidate reference bit for bit —
+// EXPECT_EQ, not NEAR — on plain lists and on their compressed twin, at
+// impression thresholds 1-3, for every ordered advertiser pair and every
+// replace scan, with one tables object reused across all of them as BLS
+// does.
+TEST(MoveScanTablesTest, TableDeltasEqualTheReferenceBitForBit) {
+  for (uint64_t seed : {5u, 6u, 7u}) {
+    common::Rng gen(seed);
+    const int32_t num_billboards = 24;
+    const int32_t num_trajectories = 60;
+    std::vector<std::vector<model::TrajectoryId>> covered(num_billboards);
+    for (auto& list : covered) {
+      for (int32_t t = 0; t < num_trajectories; ++t) {
+        if (gen.Bernoulli(0.25)) list.push_back(t);
+      }
+    }
+    model::Dataset d;
+    const influence::InfluenceIndex plain =
+        IndexFromIncidence(covered, num_trajectories, &d);
+    const influence::InfluenceIndex compressed = CompressedTwin(plain);
+    for (const influence::InfluenceIndex* index : {&plain, &compressed}) {
+      for (uint16_t threshold : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
+        Assignment s(index,
+                     {Adv(0, 20, 12.0), Adv(1, 9, 9.0), Adv(2, 30, 5.0),
+                      Adv(3, 4, 7.5)},
+                     RegretParams{0.5}, threshold);
+        common::Rng owners(seed * 31 + threshold);
+        for (model::BillboardId o = 0; o < num_billboards; ++o) {
+          const uint64_t a = owners.UniformU64(6);  // 4, 5: stays free
+          if (a < 4) s.Assign(o, static_cast<market::AdvertiserId>(a));
+        }
+        MoveScanTables tables;
+        int64_t checked = 0;
+        for (market::AdvertiserId i = 0; i < s.num_advertisers(); ++i) {
+          for (market::AdvertiserId j = market::kNoAdvertiser;
+               j < s.num_advertisers(); ++j) {
+            if (j == i) continue;
+            tables.Start(s, i, j);
+            for (size_t x = 0; x < tables.rows().size(); ++x) {
+              tables.LoadRow(x);
+              for (size_t y = 0; y < tables.cols().size(); ++y) {
+                const model::BillboardId om = tables.rows()[x];
+                const model::BillboardId on = tables.cols()[y];
+                const double reference =
+                    j == market::kNoAdvertiser
+                        ? s.DeltaReplace(om, on)
+                        : s.DeltaExchangeAcross(om, on);
+                EXPECT_EQ(tables.Delta(y), reference)
+                    << "seed " << seed << " threshold " << threshold
+                    << (index == &plain ? " plain" : " compressed")
+                    << " i " << i << " j " << j << " om " << om << " on "
+                    << on;
+                ++checked;
+              }
+            }
+          }
+        }
+        EXPECT_GT(checked, 100) << "seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(BlsMovesTest, ReleaseMoveTrimsPureExcess) {

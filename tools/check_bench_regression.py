@@ -7,6 +7,8 @@ per-iteration work counters. Two --current schemas are accepted:
   google-benchmark:  {"benchmarks": [{"name": ..., <counter>: ...}, ...]}
                      (BENCH_micro_algorithms.json from the
                      `micro_algorithms_bench` ctest entry,
+                     BENCH_micro_algorithms_bls.json from
+                     `micro_algorithms_bls_bench`,
                      BENCH_micro_replan.json from `micro_replan_bench`)
   flat ReportWriter: {"bench": "<name>", <field>: <number>, ...}
                      (BENCH_serve.json from `serve_load_bench` — the
@@ -14,7 +16,8 @@ per-iteration work counters. Two --current schemas are accepted:
                      fields are the counters)
 
 The micro-benchmark counters are seeded and workload-deterministic —
-greedy.deltas counts marginal-gain recomputations, the replan.* family
+greedy.deltas counts marginal-gain recomputations, bls.deltas_evaluated
+the moves exhaustive BLS scored, the replan.* family
 measures the incremental replanner's churn response — so any increase
 beyond the tolerance means the algorithm got worse (e.g. cache
 invalidation broke, the blast radius exploded), not that the machine was
