@@ -62,54 +62,41 @@ Fixture& DenseFixture() {
   return *fixture;
 }
 
-// Attaches the greedy selection-effort counters (delta over the timed
-// loop, averaged per iteration) so BENCH_micro_algorithms.json shows the
-// lazy and naive variants side by side: "deltas" is the number of
-// incidence-list walks the selection rule paid for.
+// Attaches the greedy selection-effort counter (delta over the timed
+// loop, averaged per iteration) to BENCH_micro_algorithms.json:
+// "greedy.deltas" is the number of candidates the selection rule scored.
 void ReportSelectionCounters(benchmark::State& state,
                              const obs::MetricsSnapshot& before) {
   const obs::MetricsSnapshot after =
       obs::MetricsRegistry::Global().Snapshot();
-  const auto per_iteration = benchmark::Counter::kAvgIterations;
-  for (const char* name :
-       {"greedy.deltas", "greedy.lazy_hits", "greedy.lazy_reevals"}) {
-    state.counters[name] = benchmark::Counter(
-        static_cast<double>(after.CounterOf(name) - before.CounterOf(name)),
-        per_iteration);
-  }
+  state.counters["greedy.deltas"] = benchmark::Counter(
+      static_cast<double>(after.CounterOf("greedy.deltas") -
+                          before.CounterOf("greedy.deltas")),
+      benchmark::Counter::kAvgIterations);
 }
 
 template <typename GreedyFn>
-void RunGreedyBench(benchmark::State& state, GreedyFn greedy,
-                    bool lazy_selection) {
+void RunGreedyBench(benchmark::State& state, GreedyFn greedy) {
   Fixture& f = TheFixture();
   const obs::MetricsSnapshot before =
       obs::MetricsRegistry::Global().Snapshot();
   for (auto _ : state) {
     core::Assignment s(&f.index, f.advertisers, core::RegretParams{0.5});
-    greedy(&s, lazy_selection);
+    greedy(&s);
     benchmark::DoNotOptimize(s.TotalRegret());
   }
   ReportSelectionCounters(state, before);
 }
 
-void BM_BudgetEffectiveGreedyLazy(benchmark::State& state) {
-  RunGreedyBench(state, core::BudgetEffectiveGreedy, /*lazy_selection=*/true);
-}
-BENCHMARK(BM_BudgetEffectiveGreedyLazy)->Unit(benchmark::kMillisecond);
-
+// The "Naive" names date from when a lazy selector ran beside the
+// exhaustive scan; the tier-1 gate keys its greedy.deltas ceilings on them.
 void BM_BudgetEffectiveGreedyNaive(benchmark::State& state) {
-  RunGreedyBench(state, core::BudgetEffectiveGreedy, /*lazy_selection=*/false);
+  RunGreedyBench(state, core::BudgetEffectiveGreedy);
 }
 BENCHMARK(BM_BudgetEffectiveGreedyNaive)->Unit(benchmark::kMillisecond);
 
-void BM_SynchronousGreedyLazy(benchmark::State& state) {
-  RunGreedyBench(state, core::SynchronousGreedy, /*lazy_selection=*/true);
-}
-BENCHMARK(BM_SynchronousGreedyLazy)->Unit(benchmark::kMillisecond);
-
 void BM_SynchronousGreedyNaive(benchmark::State& state) {
-  RunGreedyBench(state, core::SynchronousGreedy, /*lazy_selection=*/false);
+  RunGreedyBench(state, core::SynchronousGreedy);
 }
 BENCHMARK(BM_SynchronousGreedyNaive)->Unit(benchmark::kMillisecond);
 

@@ -175,22 +175,28 @@ influence::InfluenceIndex& SmallCompressedIndex() {
   return *index;
 }
 
-// Mirrors BM_MarginalGain on the compressed form of the same index: same
-// probe sequence, popcount intersection kernel instead of per-id count
-// lookups. Results are bit-identical (the equivalence tests enforce it);
-// this measures the cost delta.
-void BM_CompressedMarginalGain(benchmark::State& state) {
+// Mirrors BM_CoverageCounterAddRemove on the compressed form of the same
+// index: same board order, with both the trajectory list and the covering
+// lists the marginal tables' upkeep walks decoded from blocks. Results are
+// bit-identical (the equivalence tests enforce it); this measures the cost
+// delta. MarginalGain itself is a table read on either form.
+void BM_CompressedCoverageCounterAddRemove(benchmark::State& state) {
   influence::InfluenceIndex& index = SmallCompressedIndex();
   influence::CoverageCounter counter(&index);
-  for (int32_t o = 0; o < index.num_billboards(); o += 2) counter.Add(o);
-  int32_t probe = 1;
+  common::Rng rng(2);
+  std::vector<model::BillboardId> order(index.num_billboards());
+  for (int32_t i = 0; i < index.num_billboards(); ++i) order[i] = i;
+  rng.Shuffle(order);
+  size_t pos = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(counter.MarginalGain(probe));
-    probe += 2;
-    if (probe >= index.num_billboards()) probe = 1;
+    model::BillboardId o = order[pos];
+    counter.Add(o);
+    counter.Remove(o);
+    pos = (pos + 1) % order.size();
+    benchmark::DoNotOptimize(counter.influence());
   }
 }
-BENCHMARK(BM_CompressedMarginalGain);
+BENCHMARK(BM_CompressedCoverageCounterAddRemove);
 
 void BM_InfluenceOfSet(benchmark::State& state) {
   influence::InfluenceIndex& index = SmallIndex();

@@ -178,40 +178,6 @@ void CompressedPostings::Decode(int32_t list, std::vector<int32_t>* out) const {
   ForEach(list, [out](int32_t v) { out->push_back(v); });
 }
 
-int64_t CompressedPostings::CountAbsent(int32_t list,
-                                        const uint64_t* bits) const {
-  const uint8_t* entry = DirEntry(list);
-  const uint8_t* p = data_ + LoadLE64(entry);
-  const uint32_t blocks = LoadLE32(entry + 12);
-  int64_t absent = 0;
-  for (uint32_t b = 0; b < blocks; ++b) {
-    const uint32_t header = LoadLE32(p);
-    p += 4;
-    const uint32_t key = header & kBlockKeyMask;
-    if (header & kBlockDenseFlag) {
-      const uint64_t* block_bits = bits + static_cast<size_t>(key) * kBlockWords;
-      for (uint32_t w = 0; w < kBlockWords; ++w) {
-        absent += std::popcount(LoadLE64(p + w * 8) & ~block_bits[w]);
-      }
-      p += kBlockDenseBytes;
-    } else {
-      const uint32_t count =
-          ((header & kBlockCountMask) >> kBlockCountShift) + 1;
-      const int32_t base = static_cast<int32_t>(key << kBlockSpanBits);
-      uint32_t raw;
-      p = ReadVarint(p, &raw);
-      uint32_t v = static_cast<uint32_t>(base) + raw;
-      absent += static_cast<int64_t>(~(bits[v >> 6] >> (v & 63)) & 1);
-      for (uint32_t i = 1; i < count; ++i) {
-        p = ReadVarint(p, &raw);
-        v += raw + 1;
-        absent += static_cast<int64_t>(~(bits[v >> 6] >> (v & 63)) & 1);
-      }
-    }
-  }
-  return absent;
-}
-
 common::Status CompressedPostings::Validate() const {
   if (bytes_.size() < kPostingsHeaderBytes) {
     return Corrupt("blob shorter than its fixed header");

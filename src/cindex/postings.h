@@ -72,19 +72,6 @@ inline uint64_t LoadLE64(const uint8_t* p) {
          (static_cast<uint64_t>(LoadLE32(p + 4)) << 32);
 }
 
-/// Number of blocks spanned by a universe of `universe` values.
-inline uint32_t NumBlocks(int32_t universe) {
-  return (static_cast<uint32_t>(universe) + kBlockSpan - 1) >> kBlockSpanBits;
-}
-
-/// Size, in u64 words, of a caller-side bitmap compatible with the dense
-/// kernels: whole blocks (NumBlocks * 8 words), NOT ceil(universe / 64).
-/// Dense-block kernels read all 8 words of a block unconditionally, so the
-/// bitmap must be padded out to the block boundary past the universe.
-inline size_t BitmapWords(int32_t universe) {
-  return static_cast<size_t>(NumBlocks(universe)) * kBlockWords;
-}
-
 /// Whether FromBytes copies the input into owned storage or borrows the
 /// caller's buffer (which must then outlive the CompressedPostings — the
 /// mmap serving path).
@@ -190,11 +177,6 @@ class CompressedPostings {
 
   /// Appends the decoded values of `list` to `*out` in ascending order.
   void Decode(int32_t list, std::vector<int32_t>* out) const;
-
-  /// Counts values of `list` whose bit is NOT set in `bits`. `bits` must
-  /// hold BitmapWords(universe()) words (block-padded; see BitmapWords).
-  /// This is the popcount kernel behind threshold-1 MarginalGain.
-  int64_t CountAbsent(int32_t list, const uint64_t* bits) const;
 
   /// Full bounds-checked decode walk over the entire blob: framing sizes,
   /// directory contiguity, strictly increasing block keys, per-block

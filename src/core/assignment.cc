@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace mroam::core {
 
@@ -135,7 +136,6 @@ void Assignment::Release(BillboardId o) {
   owner_[o] = kNoAdvertiser;
   slot_[o] = static_cast<int32_t>(free_.size());
   free_.push_back(o);
-  ++free_add_epoch_;
   counters_[a].Remove(o);
   RecomputeRegret(a);
 }
@@ -162,11 +162,6 @@ void Assignment::SwapSets(AdvertiserId i, AdvertiserId j) {
   MROAM_CHECK(i != j);
   std::swap(sets_[i], sets_[j]);
   std::swap(counters_[i], counters_[j]);
-  // The swapped counter objects carry their epochs with them, so a stamp
-  // cached against "advertiser i's counter" could still match numerically
-  // while describing what is now advertiser j's set: invalidate both.
-  counters_[i].MarkStructuralChange();
-  counters_[j].MarkStructuralChange();
   for (BillboardId o : sets_[i]) owner_[o] = i;
   for (BillboardId o : sets_[j]) owner_[o] = j;
   // Slots are positions within the (moved) vectors, so they stay valid.
@@ -198,10 +193,6 @@ void Assignment::CopyDeploymentFrom(const Assignment& other) {
   regret_ = other.regret_;
   params_ = other.params_;
   total_regret_ = other.total_regret_;
-  // The copied counters carry `other`'s epochs, which could collide with
-  // stamps cached against this assignment's previous state.
-  for (influence::CoverageCounter& c : counters_) c.MarkStructuralChange();
-  ++free_add_epoch_;
 }
 
 void Assignment::RestoreDeployment(
@@ -235,42 +226,95 @@ int64_t CountDeploymentDiff(
   return touched;
 }
 
-void Assignment::VerifyInvariants() const {
-  // Ownership structure.
-  std::vector<int> seen(index_->num_billboards(), 0);
+common::Status Assignment::CheckInvariants() const {
+  auto broken = [](const std::string& what) {
+    return common::Status::Internal("assignment invariant broken: " + what);
+  };
+  // Ownership: every board sits at its recorded slot in exactly one of the
+  // sets and the free pool, so the sets are disjoint.
+  std::vector<int> seen(static_cast<size_t>(num_billboards()), 0);
   for (int32_t a = 0; a < num_advertisers(); ++a) {
     for (size_t pos = 0; pos < sets_[a].size(); ++pos) {
-      BillboardId o = sets_[a][pos];
-      MROAM_CHECK(owner_[o] == a) << "billboard " << o << " owner mismatch";
-      MROAM_CHECK(slot_[o] == static_cast<int32_t>(pos));
+      const BillboardId o = sets_[a][pos];
+      if (owner_[o] != a || slot_[o] != static_cast<int32_t>(pos)) {
+        return broken("billboard " + std::to_string(o) + " in the set of " +
+                      std::to_string(a) + " records owner " +
+                      std::to_string(owner_[o]) + ", slot " +
+                      std::to_string(slot_[o]));
+      }
       ++seen[o];
     }
   }
   for (size_t pos = 0; pos < free_.size(); ++pos) {
-    BillboardId o = free_[pos];
-    MROAM_CHECK(owner_[o] == kNoAdvertiser);
-    MROAM_CHECK(slot_[o] == static_cast<int32_t>(pos));
+    const BillboardId o = free_[pos];
+    if (owner_[o] != kNoAdvertiser || slot_[o] != static_cast<int32_t>(pos)) {
+      return broken("free billboard " + std::to_string(o) +
+                    " records owner " + std::to_string(owner_[o]) +
+                    ", slot " + std::to_string(slot_[o]));
+    }
     ++seen[o];
   }
-  for (int32_t o = 0; o < index_->num_billboards(); ++o) {
-    MROAM_CHECK(seen[o] == 1) << "billboard " << o << " appears " << seen[o]
-                              << " times across sets/free";
+  for (int32_t o = 0; o < num_billboards(); ++o) {
+    if (seen[o] != 1) {
+      return broken("billboard " + std::to_string(o) + " appears " +
+                    std::to_string(seen[o]) + " times across sets and pool");
+    }
   }
 
-  // Influence and regret caches.
+  // Counters and regrets, against recounts from the incidence lists.
+  const int m = impression_threshold_;
+  std::vector<int> counts(static_cast<size_t>(index_->num_trajectories()));
   double expected_total = 0.0;
+  double scale = 1.0;  // bounds the magnitude of every partial sum
   for (int32_t a = 0; a < num_advertisers(); ++a) {
-    influence::CoverageCounter fresh(index_, impression_threshold_);
-    for (BillboardId o : sets_[a]) fresh.Add(o);
-    MROAM_CHECK(fresh.influence() == InfluenceOf(a))
-        << "advertiser " << a << " influence cache stale";
-    double expected = Regret(advertisers_[a], fresh.influence(), params_);
-    MROAM_CHECK(std::abs(expected - regret_[a]) < 1e-6)
-        << "advertiser " << a << " regret cache stale";
+    const influence::CoverageCounter& counter = counters_[a];
+    const std::string who = "advertiser " + std::to_string(a) + ": ";
+    std::fill(counts.begin(), counts.end(), 0);
+    for (BillboardId o : sets_[a]) {
+      index_->ForEachCovered(o, [&](model::TrajectoryId t) { ++counts[t]; });
+    }
+    int64_t influence = 0;
+    for (size_t t = 0; t < counts.size(); ++t) {
+      if (counter.CountOf(static_cast<model::TrajectoryId>(t)) != counts[t]) {
+        return broken(who + "count of trajectory " + std::to_string(t));
+      }
+      if (counts[t] >= m) ++influence;
+    }
+    if (counter.influence() != influence ||
+        (m == 1 && influence != index_->InfluenceOfSet(sets_[a]))) {
+      return broken(who + "influence " + std::to_string(counter.influence()) +
+                    ", recount " + std::to_string(influence));
+    }
+    for (BillboardId o = 0; o < num_billboards(); ++o) {
+      int64_t gain = 0;
+      int64_t loss = 0;
+      index_->ForEachCovered(o, [&](model::TrajectoryId t) {
+        if (counts[t] == m - 1) ++gain;
+        if (counts[t] == m) ++loss;
+      });
+      if (counter.MarginalGain(o) != gain || counter.MarginalLoss(o) != loss) {
+        return broken(who + "billboard " + std::to_string(o) + " gain/loss " +
+                      std::to_string(counter.MarginalGain(o)) + "/" +
+                      std::to_string(counter.MarginalLoss(o)) +
+                      ", recount " + std::to_string(gain) + "/" +
+                      std::to_string(loss));
+      }
+    }
+    const double expected = Regret(advertisers_[a], influence, params_);
+    if (regret_[a] != expected) {
+      return broken(who + "cached regret " + std::to_string(regret_[a]) +
+                    ", Eq. 1 gives " + std::to_string(expected));
+    }
     expected_total += expected;
+    scale += advertisers_[a].payment + expected;
   }
-  MROAM_CHECK(std::abs(expected_total - total_regret_) < 1e-5)
-      << "total regret cache stale";
+  // The cached total is a running sum of per-move differences, so it may
+  // carry rounding; anything past it is a missed update.
+  if (std::abs(expected_total - total_regret_) > 1e-9 * scale) {
+    return broken("cached total regret " + std::to_string(total_regret_) +
+                  ", Eq. 1 sums to " + std::to_string(expected_total));
+  }
+  return common::Status::Ok();
 }
 
 }  // namespace mroam::core

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "core/regret.h"
 #include "influence/coverage_counter.h"
 #include "influence/influence_index.h"
@@ -19,7 +20,7 @@ namespace mroam::core {
 /// constant-or-list-time *delta* queries (no mutation) and the matching
 /// mutations, so local search never recomputes I(S) from scratch.
 ///
-/// Invariants (checked by VerifyInvariants):
+/// Invariants (checked by CheckInvariants):
 ///  * each billboard has at most one owner (sets are disjoint);
 ///  * counters match the owned sets; cached regrets match Regret(...).
 class Assignment {
@@ -102,21 +103,11 @@ class Assignment {
     return counters_[a].MarginalLoss(o);
   }
 
-  /// Advertiser `a`'s coverage counter. Exposed (read-only) for the lazy
-  /// greedy selector, which stamps its cached marginal gains with the
-  /// counter's epoch (see CoverageCounter::epoch()).
+  /// Advertiser `a`'s coverage counter (read-only), for the BLS scan
+  /// tables.
   const influence::CoverageCounter& CounterOf(market::AdvertiserId a) const {
     return counters_[a];
   }
-
-  /// Epoch advanced every time a billboard (re-)enters the free pool, i.e.
-  /// on every Release (and wholesale on CopyDeploymentFrom). Lets any
-  /// structure caching a view of the free pool detect re-added members
-  /// without diffing the list; billboards *leaving* the pool are cheaper
-  /// to detect per-entry via OwnerOf. The lazy selector re-reads the pool
-  /// on every query, so it only needs the counter epochs — this one is
-  /// for callers that persist candidate lists across picks.
-  uint64_t free_add_epoch() const { return free_add_epoch_; }
 
   /// The stacked-bar decomposition of the current total regret.
   RegretBreakdown Breakdown() const;
@@ -197,9 +188,15 @@ class Assignment {
 
   // --- Debugging -----------------------------------------------------------
 
-  /// Recomputes all influences and regrets from scratch and MROAM_CHECKs
-  /// they match the cached values. O(|U| * avg list). Test/debug only.
-  void VerifyInvariants() const;
+  /// Recomputes the deployment's state from scratch and returns the first
+  /// disagreement with what is maintained, or OK: owner, slot, sets and
+  /// free pool agree and every board is in exactly one of them (so the
+  /// sets are disjoint); each counter's per-trajectory counts, influence
+  /// (also against InfluenceIndex::InfluenceOfSet at threshold 1) and
+  /// every board's MarginalGain/MarginalLoss match a recount; cached
+  /// regrets and their total match Eq. 1. O(|A| · (|T| + I*)). Tests and
+  /// MROAM_DCHECKs only.
+  common::Status CheckInvariants() const;
 
  private:
   void RecomputeRegret(market::AdvertiserId a);
@@ -216,7 +213,6 @@ class Assignment {
   std::vector<influence::CoverageCounter> counters_;   // by advertiser
   std::vector<double> regret_;                    // cached R(S_a)
   double total_regret_ = 0.0;
-  uint64_t free_add_epoch_ = 1;  // 0 reserved for "never observed"
 };
 
 /// Number of billboards whose owner differs between two deployments over

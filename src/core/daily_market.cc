@@ -1,6 +1,8 @@
 #include "core/daily_market.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -35,6 +37,38 @@ const char* ReplanModeName(ReplanMode mode) {
   }
   return "?";
 }
+
+namespace {
+
+/// The day's plan rebuilt from the book: it must satisfy Assignment's
+/// invariants (RestoreDeployment CHECK-fails on overlapping sets) and
+/// reproduce the reported Eq. 1 regret. Debug builds check it after every
+/// AdvanceDay.
+common::Status CheckDayPlan(
+    const influence::InfluenceIndex* index, const SolverConfig& solver,
+    const std::vector<market::Advertiser>& terms,
+    const std::vector<std::vector<model::BillboardId>>& sets,
+    const RegretBreakdown& reported) {
+  Assignment plan(index, terms, solver.regret, solver.impression_threshold);
+  plan.RestoreDeployment(sets);
+  common::Status status = plan.CheckInvariants();
+  if (!status.ok()) return status;
+  const double total = plan.Breakdown().total;
+  if (std::abs(total - reported.total) > 1e-9 * (1.0 + std::abs(total))) {
+    return common::Status::Internal(
+        "day plan regret " + std::to_string(total) + ", reported " +
+        std::to_string(reported.total));
+  }
+  return common::Status::Ok();
+}
+
+/// True when `status` is OK; otherwise logs it for MROAM_DCHECK to abort on.
+bool Holds(const common::Status& status) {
+  if (!status.ok()) MROAM_LOG(Error) << status;
+  return status.ok();
+}
+
+}  // namespace
 
 DailyMarket::DailyMarket(const influence::InfluenceIndex* index,
                          DailyMarketConfig config)
@@ -195,8 +229,7 @@ void DailyMarket::ReplanIncremental(
   common::Stopwatch greedy_watch;
   if (!targets.empty()) {
     for (market::AdvertiserId a : targets) state.ReleaseAll(a);
-    SynchronousGreedyOver(&state, targets,
-                          config_.solver.local_search.lazy_selection);
+    SynchronousGreedyOver(&state, targets);
   }
   result->report.AddPhase("greedy", greedy_watch.ElapsedSeconds());
   if (!targets.empty() && config_.incremental.local_search_sweeps > 0) {
@@ -237,6 +270,7 @@ void DailyMarket::ReplanIncremental(
     return;
   }
 
+  MROAM_DCHECK(Holds(state.CheckInvariants()));
   for (size_t i = 0; i < contracts_.size(); ++i) {
     contracts_[i].billboards =
         state.BillboardsOf(static_cast<market::AdvertiserId>(i));
@@ -335,6 +369,8 @@ DayResult DailyMarket::AdvanceDay(
     result.report.AddPhase("greedy", greedy_watch.ElapsedSeconds());
   }
   RefreshCaches();
+  MROAM_DCHECK(Holds(CheckDayPlan(index_, config_.solver, terms_cache_,
+                                  sets_cache_, result.breakdown)));
   result.boards_touched =
       CountDeploymentDiff(incumbent, sets_cache_, index_->num_billboards());
   MROAM_COUNTER_ADD("market.boards_touched", result.boards_touched);

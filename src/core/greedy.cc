@@ -1,10 +1,8 @@
 #include "core/greedy.h"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
-#include "core/lazy_selector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -15,46 +13,70 @@ using model::BillboardId;
 
 namespace {
 
-/// Selector effort counters captured at the start of a greedy run, so the
-/// per-run registry flush stays correct for *persistent* selectors (whose
-/// lifetime counters span many runs) as well as locally constructed ones.
-struct SelectorEffort {
-  int64_t exact_evaluations = 0;
-  int64_t lazy_hits = 0;
-  int64_t lazy_reevals = 0;
+/// Comparison tolerance of the greedy selection rule: ratios within this
+/// band tie and fall through to the next tie-break key.
+constexpr double kSelectionTieTolerance = 1e-12;
 
-  static SelectorEffort Of(const LazySelector& selector) {
-    return {selector.exact_evaluations(), selector.lazy_hits(),
-            selector.lazy_reevals()};
+/// The greedy selection comparator (Algorithms 1 & 2, lines 1.5 / 2.6): a
+/// candidate beats the incumbent on a strictly higher regret-delta ratio;
+/// within the tie band it wins on a higher marginal-gain ratio, then on a
+/// smaller id.
+bool SelectionBeats(double ratio, double gain_ratio, BillboardId id,
+                    double best_ratio, double best_gain_ratio,
+                    BillboardId best_id) {
+  if (ratio > best_ratio + kSelectionTieTolerance) return true;
+  if (ratio > best_ratio - kSelectionTieTolerance) {
+    if (gain_ratio > best_gain_ratio + kSelectionTieTolerance) return true;
+    if (gain_ratio > best_gain_ratio - kSelectionTieTolerance &&
+        id < best_id) {
+      return true;
+    }
   }
-};
-
-/// One registry flush per greedy run: exact evaluations (incidence-list
-/// walks) under the shared "greedy.deltas" name — the number the
-/// lazy-vs-exhaustive comparison in micro_algorithms reads — plus the
-/// lazy engine's hit/re-evaluation split. Flushes the delta over `entry`,
-/// i.e. the effort this run added.
-void FlushSelectorCounters(const LazySelector& selector,
-                           const SelectorEffort& entry) {
-  MROAM_COUNTER_ADD("greedy.deltas",
-                    selector.exact_evaluations() - entry.exact_evaluations);
-  MROAM_COUNTER_ADD("greedy.lazy_hits", selector.lazy_hits() - entry.lazy_hits);
-  MROAM_COUNTER_ADD("greedy.lazy_reevals",
-                    selector.lazy_reevals() - entry.lazy_reevals);
+  return false;
 }
 
 }  // namespace
 
-BillboardId BestBillboardFor(const Assignment& assignment, AdvertiserId a) {
-  LazySelector selector(&assignment, /*lazy=*/false);
-  return selector.BestBillboard(a);
+BillboardId BestBillboardFor(const Assignment& assignment, AdvertiserId a,
+                             int64_t* scored) {
+  const influence::InfluenceIndex& index = assignment.index();
+  const market::Advertiser& ad = assignment.advertiser(a);
+  const RegretParams& params = assignment.params();
+  const int64_t influence = assignment.InfluenceOf(a);
+  const double current_regret = Regret(ad, influence, params);
+  // Zero-gain candidates are only *permanently* useless under the
+  // set-union model; with an impression threshold m > 1 the first board
+  // meeting a trajectory has gain 0 yet bootstraps coverage (greedy.h).
+  const bool skip_zero_gain = assignment.impression_threshold() == 1;
+  BillboardId best = model::kInvalidBillboard;
+  double best_ratio = 0.0;
+  double best_gain_ratio = 0.0;
+  int64_t candidates = 0;
+  for (BillboardId o : assignment.FreeBillboards()) {
+    const double supplied = static_cast<double>(index.InfluenceOf(o));
+    if (supplied <= 0.0) continue;
+    const int64_t gain = assignment.MarginalGain(a, o);
+    ++candidates;
+    if (gain == 0 && skip_zero_gain) continue;  // can never help again
+    const double ratio =
+        (current_regret - Regret(ad, influence + gain, params)) / supplied;
+    const double gain_ratio = static_cast<double>(gain) / supplied;
+    if (best == model::kInvalidBillboard ||
+        SelectionBeats(ratio, gain_ratio, o, best_ratio, best_gain_ratio,
+                       best)) {
+      best = o;
+      best_ratio = ratio;
+      best_gain_ratio = gain_ratio;
+    }
+  }
+  if (scored != nullptr) *scored += candidates;
+  return best;
 }
 
-void BudgetEffectiveGreedy(Assignment* assignment, bool lazy_selection) {
+void BudgetEffectiveGreedy(Assignment* assignment) {
   MROAM_TRACE_SPAN("greedy.budget_effective");
-  LazySelector selector(assignment, lazy_selection);
-  const SelectorEffort entry = SelectorEffort::Of(selector);
   int64_t assigned = 0;
+  int64_t scored = 0;
   std::vector<AdvertiserId> order(assignment->num_advertisers());
   for (int32_t a = 0; a < assignment->num_advertisers(); ++a) order[a] = a;
   std::sort(order.begin(), order.end(),
@@ -66,7 +88,7 @@ void BudgetEffectiveGreedy(Assignment* assignment, bool lazy_selection) {
             });
   for (AdvertiserId a : order) {
     while (!assignment->IsSatisfied(a)) {
-      BillboardId o = selector.BestBillboard(a);
+      BillboardId o = BestBillboardFor(*assignment, a, &scored);
       if (o == model::kInvalidBillboard) break;  // nothing can still help
       assignment->Assign(o, a);
       ++assigned;
@@ -75,29 +97,21 @@ void BudgetEffectiveGreedy(Assignment* assignment, bool lazy_selection) {
   // One flush per call: the registry never sits in the inner loop.
   MROAM_COUNTER_ADD("greedy.budget_effective_runs", 1);
   MROAM_COUNTER_ADD("greedy.assignments", assigned);
-  FlushSelectorCounters(selector, entry);
+  MROAM_COUNTER_ADD("greedy.deltas", scored);
 }
 
-void SynchronousGreedy(Assignment* assignment, bool lazy_selection) {
+void SynchronousGreedy(Assignment* assignment) {
   std::vector<AdvertiserId> all(assignment->num_advertisers());
   for (int32_t a = 0; a < assignment->num_advertisers(); ++a) all[a] = a;
-  SynchronousGreedyOver(assignment, all, lazy_selection);
+  SynchronousGreedyOver(assignment, all);
 }
 
 void SynchronousGreedyOver(Assignment* assignment,
-                           const std::vector<AdvertiserId>& targets,
-                           bool lazy_selection, LazySelector* external) {
+                           const std::vector<AdvertiserId>& targets) {
   MROAM_TRACE_SPAN("greedy.synchronous");
-  std::optional<LazySelector> local;
-  if (external == nullptr) {
-    local.emplace(assignment, lazy_selection);
-  } else {
-    MROAM_DCHECK(external->assignment() == assignment);
-  }
-  LazySelector& selector = external != nullptr ? *external : *local;
-  const SelectorEffort entry = SelectorEffort::Of(selector);
   int64_t assigned = 0;
   int64_t victims = 0;
+  int64_t scored = 0;
   const int32_t n = assignment->num_advertisers();
   std::vector<bool> active(n, false);
   for (AdvertiserId a : targets) {
@@ -118,14 +132,14 @@ void SynchronousGreedyOver(Assignment* assignment,
     MROAM_COUNTER_ADD("greedy.synchronous_runs", 1);
     MROAM_COUNTER_ADD("greedy.assignments", assigned);
     MROAM_COUNTER_ADD("greedy.victims_released", victims);
-    FlushSelectorCounters(selector, entry);
+    MROAM_COUNTER_ADD("greedy.deltas", scored);
   };
 
   while (true) {
     bool assigned_any = false;
     for (AdvertiserId a : targets) {
       if (!active[a] || assignment->IsSatisfied(a)) continue;
-      BillboardId o = selector.BestBillboard(a);
+      BillboardId o = BestBillboardFor(*assignment, a, &scored);
       if (o == model::kInvalidBillboard) continue;
       assignment->Assign(o, a);
       assigned_any = true;

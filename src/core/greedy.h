@@ -5,8 +5,6 @@
 
 namespace mroam::core {
 
-class LazySelector;
-
 /// Picks the free billboard maximizing the paper's greedy selection rule
 /// (R(S_a) - R(S_a ∪ {o})) / I({o}) for advertiser `a` (Algorithms 1 & 2,
 /// lines 1.5 / 2.6). Billboards with I({o}) = 0 are always skipped.
@@ -23,20 +21,19 @@ class LazySelector;
 /// regret ratio flat). Returns model::kInvalidBillboard when no eligible
 /// billboard exists.
 ///
-/// This is the exhaustive O(|free| incidence walks) reference; the greedy
-/// drivers below use core::LazySelector, which returns the same billboard
-/// with CELF-style upper-bound pruning (lazy_selector.h).
+/// The scan is exhaustive over the free pool, and each candidate costs
+/// O(1): the advertiser's CoverageCounter keeps every board's marginal
+/// gain up to date (DESIGN.md §5.1). When `scored` is non-null, the number
+/// of candidates scored is added to it.
 model::BillboardId BestBillboardFor(const Assignment& assignment,
-                                    market::AdvertiserId a);
+                                    market::AdvertiserId a,
+                                    int64_t* scored = nullptr);
 
 /// Algorithm 1 — Budget-Effective Greedy ("G-Order"): serves advertisers
 /// in descending order of budget-effectiveness L_i/I_i, assigning each the
 /// best billboards until it is satisfied or no billboard can still raise
 /// its influence. Expects (but does not require) an empty assignment.
-/// `lazy_selection` = false replaces the lazy selector by the exhaustive
-/// scan (identical result, more incidence-list walks).
-void BudgetEffectiveGreedy(Assignment* assignment,
-                           bool lazy_selection = true);
+void BudgetEffectiveGreedy(Assignment* assignment);
 
 /// Algorithm 2 — Synchronous Greedy ("G-Global"): one billboard per
 /// unsatisfied advertiser per round. When no billboard can be handed out
@@ -48,8 +45,8 @@ void BudgetEffectiveGreedy(Assignment* assignment,
 ///
 /// Works from any starting assignment (the local-search framework and BLS
 /// move 4 call it with non-empty state, per Algorithm 3 line 3.8 and
-/// Algorithm 5 line 5.11). `lazy_selection` as in BudgetEffectiveGreedy.
-void SynchronousGreedy(Assignment* assignment, bool lazy_selection = true);
+/// Algorithm 5 line 5.11).
+void SynchronousGreedy(Assignment* assignment);
 
 /// Restricted Synchronous Greedy: identical round structure, but only the
 /// advertisers listed in `targets` compete for inventory (and only they
@@ -57,17 +54,8 @@ void SynchronousGreedy(Assignment* assignment, bool lazy_selection = true);
 /// With `targets` = {0, ..., n-1} this is bit-identical to
 /// SynchronousGreedy. The incremental replanner hands it the blast radius
 /// of a day's churn so the rest of the book stays stable.
-///
-/// `selector`, when non-null, is an externally owned LazySelector bound to
-/// `assignment` that this run reuses instead of constructing its own —
-/// the BLS sweep loop persists one across its move-4 completions so the
-/// per-advertiser cache vectors stay warm (selection results are
-/// identical either way: epoch stamps invalidate whatever went stale).
-/// Its effort counters are flushed as deltas over this run only.
 void SynchronousGreedyOver(Assignment* assignment,
-                           const std::vector<market::AdvertiserId>& targets,
-                           bool lazy_selection = true,
-                           LazySelector* selector = nullptr);
+                           const std::vector<market::AdvertiserId>& targets);
 
 }  // namespace mroam::core
 

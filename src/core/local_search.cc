@@ -8,7 +8,6 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/greedy.h"
-#include "core/lazy_selector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -65,40 +64,32 @@ void MoveScanTables::Start(const Assignment& assignment, AdvertiserId i,
   s_ = &assignment;
   i_ = i;
   j_ = j;
+  ci_ = &assignment.CounterOf(i);
   rows_ = &assignment.BillboardsOf(i);
-  const bool exchange = j != market::kNoAdvertiser;
-  cols_ = exchange ? &assignment.BillboardsOf(j)
-                   : &assignment.FreeBillboards();
   base_i_ = assignment.InfluenceOf(i);
-  base_j_ = exchange ? assignment.InfluenceOf(j) : 0;
+  if (j != market::kNoAdvertiser) {
+    cj_ = &assignment.CounterOf(j);
+    cols_ = &assignment.BillboardsOf(j);
+    base_j_ = assignment.InfluenceOf(j);
+  } else {
+    cj_ = nullptr;
+    cols_ = &assignment.FreeBillboards();
+    base_j_ = 0;
+  }
   // Resize, not assign: the storage outlives the scan, so after the first
   // scans no call allocates. corr_ stays zero outside touched_.
   corr_.resize(static_cast<size_t>(assignment.num_billboards()));
-  const size_t n = cols_->size();
-  col_gain_.resize(n);
-  col_loss_.resize(exchange ? n : 0);
-  const influence::CoverageCounter& ci = assignment.CounterOf(i);
-  for (size_t y = 0; y < n; ++y) col_gain_[y] = ci.MarginalGain((*cols_)[y]);
-  if (exchange) {
-    const influence::CoverageCounter& cj = assignment.CounterOf(j);
-    for (size_t y = 0; y < n; ++y) col_loss_[y] = cj.MarginalLoss((*cols_)[y]);
-  }
 }
 
 void MoveScanTables::LoadRow(size_t x) {
   for (BillboardId o : touched_) corr_[o] = Correction{};
   touched_.clear();
   const BillboardId om = (*rows_)[x];
-  const influence::CoverageCounter& ci = s_->CounterOf(i_);
-  const influence::CoverageCounter* cj = nullptr;
-  row_loss_ = ci.MarginalLoss(om);
-  if (j_ != market::kNoAdvertiser) {
-    cj = &s_->CounterOf(j_);
-    row_gain_ = cj->MarginalGain(om);
-  }
+  row_loss_ = ci_->MarginalLoss(om);
+  if (cj_ != nullptr) row_gain_ = cj_->MarginalGain(om);
   // Columns are exactly the boards j_ owns (kNoAdvertiser: the free pool).
-  ci.ForEachRemoveShift(om, cj, [this](BillboardId o, int shift,
-                                       int partner_shift) {
+  ci_->ForEachRemoveShift(om, cj_, [this](BillboardId o, int shift,
+                                          int partner_shift) {
     if (s_->OwnerOf(o) != j_) return;
     Correction& corr = corr_[o];
     if (corr.own == 0 && corr.partner == 0) touched_.push_back(o);
@@ -243,16 +234,9 @@ LocalSearchStats BillboardDrivenLocalSearchOver(
   MROAM_TRACE_SPAN("bls.search");
   LocalSearchStats stats;
   const size_t t = targets.size();
-  // Move 4's candidate plan and its lazy selector persist across sweeps:
-  // the candidate is copy-assigned in place each round (its counter
-  // objects survive the copy, so the selector's pointer stays valid and
-  // its per-advertiser cache vectors stay warm), and CopyDeploymentFrom
-  // marks every counter structurally changed — stale stamps then fail the
-  // selector's validity test exactly as they would against a freshly
-  // built selector, keeping selection (and greedy.deltas) bit-identical
-  // to the rebuild-per-call behaviour.
+  // Move 4's candidate plan persists across sweeps: it is copy-assigned in
+  // place each round, so its storage is allocated once per call.
   std::optional<Assignment> candidate;
-  std::optional<LazySelector> completer;
   // Scan tables for moves 1-2, reused by every scan of this call.
   MoveScanTables tables;
   bool improved = true;
@@ -285,12 +269,10 @@ LocalSearchStats BillboardDrivenLocalSearchOver(
       MROAM_TRACE_SPAN("bls.move.complete");
       if (!candidate.has_value()) {
         candidate.emplace(*assignment);
-        completer.emplace(&*candidate, config.lazy_selection);
       } else {
         candidate->CopyDeploymentFrom(*assignment);
       }
-      SynchronousGreedyOver(&*candidate, targets, config.lazy_selection,
-                            &*completer);
+      SynchronousGreedyOver(&*candidate, targets);
       if (Accepts(candidate->TotalRegret() - assignment->TotalRegret(),
                   assignment->TotalRegret(), config.improvement_ratio)) {
         assignment->CopyDeploymentFrom(*candidate);
@@ -366,7 +348,7 @@ Assignment RandomizedLocalSearch(const influence::InfluenceIndex& index,
       // Line 3.1: incumbent from the deterministic synchronous greedy —
       // improved by the same local search as every restart, so it
       // competes on equal terms.
-      SynchronousGreedy(&plan, config.lazy_selection);
+      SynchronousGreedy(&plan);
     } else {
       // Lines 3.3-3.7: seed every advertiser with one random billboard.
       for (AdvertiserId a = 0;
@@ -376,7 +358,7 @@ Assignment RandomizedLocalSearch(const influence::InfluenceIndex& index,
         plan.Assign(free[task_rng->UniformU64(free.size())], a);
       }
       // Line 3.8: complete the plan greedily.
-      SynchronousGreedy(&plan, config.lazy_selection);
+      SynchronousGreedy(&plan);
     }
     MROAM_HISTOGRAM_OBSERVE("rls.greedy_seconds",
                             phase_watch.ElapsedSeconds());

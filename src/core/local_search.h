@@ -40,18 +40,6 @@ struct LocalSearchConfig {
   /// ablation bench measures whether the steeper descent pays off.
   bool best_improvement = false;
 
-  /// Selection engine for every greedy completion this config reaches:
-  /// the SynchronousGreedy seeding/completion of Algorithm 3's restarts
-  /// and the BLS move-4 completion (and, via SolverConfig, the standalone
-  /// G-Order / G-Global methods). true (default) = CELF-style lazy
-  /// selection with cached upper bounds (core::LazySelector); false =
-  /// exhaustive scan. Results are bit-identical either way — the lazy
-  /// engine only prunes candidates that provably cannot win — so this is
-  /// an escape hatch and A/B knob, not a semantic switch. With
-  /// impression_threshold > 1 the lazy engine falls back to the
-  /// exhaustive scan by itself (DESIGN.md §5.1).
-  bool lazy_selection = true;
-
   /// Worker threads for Algorithm 3's restarts (the restarts are
   /// independent, so they parallelize perfectly). 1 = serial (default);
   /// 0 = one thread per hardware core; n > 1 = exactly n threads. The
@@ -69,16 +57,16 @@ struct LocalSearchStats {
   int32_t sweeps = 0;
 };
 
-/// Scores an exhaustive scan of BLS move 1 or 2 from per-scan tables
-/// (DESIGN.md §5.2). A scan does not mutate the assignment, so each row
-/// board o_m's MarginalLoss and each column board o_n's MarginalGain are
-/// computed once per scan, and the gain of o_n after removing o_m is
+/// Scores an exhaustive scan of BLS move 1 or 2 from a per-row table
+/// (DESIGN.md §5.2). Every MarginalLoss and MarginalGain is an O(1) read
+/// of the counters' maintained marginals, and the gain of o_n after
+/// removing o_m is
 ///   MarginalGain(o_n) + Σ_{t ∈ L(o_m) ∩ L(o_n)} ([c_t = m] − [c_t = m−1]),
 /// whose sums one CoverageCounter::ForEachRemoveShift walk of o_m fills
 /// for every column at once. The same integers then go through
 /// Assignment::RegretDelta, so every delta equals DeltaExchangeAcross /
 /// DeltaReplace bit for bit. BillboardDrivenLocalSearchOver owns one per
-/// call and reuses its storage across scans; the tables are valid until
+/// call and reuses its storage across scans; a loaded row is valid until
 /// the assignment next changes.
 class MoveScanTables {
  public:
@@ -93,7 +81,7 @@ class MoveScanTables {
   /// o_n candidates, S_j or the free pool.
   const std::vector<model::BillboardId>& cols() const { return *cols_; }
 
-  /// Fills the tables of row `x`; Delta then scores (rows()[x], o_n).
+  /// Fills the table of row `x`; Delta then scores (rows()[x], o_n).
   void LoadRow(size_t x);
 
   /// The regret delta of moving (rows()[x], cols()[y]) for the loaded
@@ -101,9 +89,11 @@ class MoveScanTables {
   double Delta(size_t y) const {
     const model::BillboardId on = (*cols_)[y];
     const Correction& corr = corr_[on];
-    const int64_t new_i = base_i_ - row_loss_ + col_gain_[y] + corr.own;
-    if (j_ == market::kNoAdvertiser) return s_->RegretDelta(i_, new_i);
-    const int64_t new_j = base_j_ - col_loss_[y] + row_gain_ + corr.partner;
+    const int64_t new_i =
+        base_i_ - row_loss_ + ci_->MarginalGain(on) + corr.own;
+    if (cj_ == nullptr) return s_->RegretDelta(i_, new_i);
+    const int64_t new_j =
+        base_j_ - cj_->MarginalLoss(on) + row_gain_ + corr.partner;
     return s_->RegretDelta(i_, new_i, j_, new_j);
   }
 
@@ -119,15 +109,15 @@ class MoveScanTables {
   const Assignment* s_ = nullptr;
   market::AdvertiserId i_ = market::kNoAdvertiser;
   market::AdvertiserId j_ = market::kNoAdvertiser;
+  const influence::CoverageCounter* ci_ = nullptr;
+  const influence::CoverageCounter* cj_ = nullptr;  ///< null for replace
   const std::vector<model::BillboardId>* rows_ = nullptr;
   const std::vector<model::BillboardId>* cols_ = nullptr;
   int64_t base_i_ = 0;    ///< I(S_i)
   int64_t base_j_ = 0;    ///< I(S_j) (exchange)
   int64_t row_loss_ = 0;  ///< i's MarginalLoss of the row board
   int64_t row_gain_ = 0;  ///< j's MarginalGain of the row board
-  std::vector<int64_t> col_gain_;  ///< i's MarginalGain, by column
-  std::vector<int64_t> col_loss_;  ///< j's MarginalLoss, by column
-  std::vector<Correction> corr_;   ///< by billboard; zero off touched_
+  std::vector<Correction> corr_;  ///< by billboard; zero off touched_
   /// Entries LoadRow may have made nonzero (repeats allowed).
   std::vector<model::BillboardId> touched_;
 };

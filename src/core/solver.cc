@@ -42,10 +42,10 @@ SolveResult Solve(const influence::InfluenceIndex& index,
                         config.impression_threshold);
   switch (config.method) {
     case Method::kGOrder:
-      BudgetEffectiveGreedy(&assignment, config.local_search.lazy_selection);
+      BudgetEffectiveGreedy(&assignment);
       break;
     case Method::kGGlobal:
-      SynchronousGreedy(&assignment, config.local_search.lazy_selection);
+      SynchronousGreedy(&assignment);
       break;
     case Method::kAls:
       assignment = RandomizedLocalSearch(

@@ -1,11 +1,10 @@
 #ifndef MROAM_INFLUENCE_COVERAGE_COUNTER_H_
 #define MROAM_INFLUENCE_COVERAGE_COUNTER_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "cindex/compressed_counter.h"
 #include "common/logging.h"
 #include "influence/influence_index.h"
 
@@ -23,17 +22,17 @@ namespace mroam::influence {
 /// at least m times — which the paper describes as an orthogonal choice
 /// of measurement (§3.1).
 ///
-/// Every operation costs O(|incidence list of the billboard|). This is the
-/// data structure that makes the greedy selection rule and the local-search
-/// move deltas cheap (DESIGN.md §5.1).
+/// Alongside the counts it maintains every board's marginals
+/// (DESIGN.md §5.1): with c_t the count of trajectory t and L(o) the
+/// trajectories board o covers,
+///   gain[o] = #{t ∈ L(o) : c_t = m−1},  loss[o] = #{t ∈ L(o) : c_t = m},
+/// so MarginalGain and MarginalLoss are O(1) reads. Add/Remove walk
+/// L(o) and, for each t whose count enters or leaves m−1 or m, the boards
+/// covering t. The tables cost 8 B per board of the index.
 ///
-/// The counter walks whichever representation its index holds: the plain
-/// vector lists inline below, or — exactly when !index->has_plain() — the
-/// block-compressed kernels via a delegated
-/// cindex::CompressedCoverageCounter, bit-identical by construction and
-/// gated by the equivalence suites. Epoch bookkeeping lives here in the
-/// wrapper either way, so the lazy-selection machinery is
-/// representation-oblivious.
+/// The counter walks whichever representation its index holds (plain
+/// vectors or compressed blobs) through the index's ForEachCovered /
+/// ForEachCovering dispatchers; the arithmetic is the same either way.
 class CoverageCounter {
  public:
   /// Creates an empty counter over `index`'s trajectory universe with the
@@ -41,74 +40,53 @@ class CoverageCounter {
   /// counter.
   explicit CoverageCounter(const InfluenceIndex* index,
                            uint16_t impression_threshold = 1)
-      : index_(index), threshold_(impression_threshold) {
+      : index_(index),
+        threshold_(impression_threshold),
+        counts_(static_cast<size_t>(index->num_trajectories()), 0),
+        gain_(static_cast<size_t>(index->num_billboards())),
+        loss_(static_cast<size_t>(index->num_billboards())) {
     MROAM_CHECK(impression_threshold >= 1);
-    if (!index->has_plain()) {
-      compressed_.emplace(&index->compressed_covered(),
-                          impression_threshold);
-    } else {
-      counts_.assign(static_cast<size_t>(index->num_trajectories()), 0);
-    }
+    ResetMarginals();
   }
 
   /// Adds billboard `o`'s coverage. Must not be called twice for the same
   /// billboard without an intervening Remove (the caller tracks set
   /// membership).
   void Add(model::BillboardId o) {
-    if (compressed_) {
-      compressed_->Add(o);
-    } else {
-      for (model::TrajectoryId t : index_->CoveredBy(o)) {
-        MROAM_DCHECK(counts_[t] < UINT16_MAX);
-        if (++counts_[t] == threshold_) ++influence_;
-      }
-    }
-    ++epoch_;
+    index_->ForEachCovered(o, [this](model::TrajectoryId t) {
+      MROAM_DCHECK(counts_[t] < UINT16_MAX);
+      const int c = counts_[t]++;
+      if (c + 1 == threshold_) ++influence_;
+      Retally(t, c, c + 1);
+    });
   }
 
   /// Removes billboard `o`'s coverage (must currently be counted).
   void Remove(model::BillboardId o) {
-    if (compressed_) {
-      compressed_->Remove(o);
-    } else {
-      for (model::TrajectoryId t : index_->CoveredBy(o)) {
-        MROAM_DCHECK(counts_[t] > 0);
-        if (counts_[t]-- == threshold_) --influence_;
-      }
-    }
-    ++epoch_;
-    last_shrink_epoch_ = epoch_;
+    index_->ForEachCovered(o, [this](model::TrajectoryId t) {
+      MROAM_DCHECK(counts_[t] > 0);
+      const int c = counts_[t]--;
+      if (c == threshold_) --influence_;
+      Retally(t, c, c - 1);
+    });
   }
 
   /// Influence gained if `o` were added: #trajectories in o's list one
-  /// impression short of the threshold. Does not modify the counter.
-  int64_t MarginalGain(model::BillboardId o) const {
-    if (compressed_) return compressed_->MarginalGain(o);
-    int64_t gain = 0;
-    const uint16_t at_gain = threshold_ - 1;
-    for (model::TrajectoryId t : index_->CoveredBy(o)) {
-      if (counts_[t] == at_gain) ++gain;
-    }
-    return gain;
-  }
+  /// impression short of the threshold. O(1).
+  int64_t MarginalGain(model::BillboardId o) const { return gain_[o]; }
 
-  /// Influence lost if `o` were removed: #trajectories exactly at the
-  /// threshold that `o` contributes to. Only meaningful when `o` is
-  /// currently counted.
-  int64_t MarginalLoss(model::BillboardId o) const {
-    if (compressed_) return compressed_->MarginalLoss(o);
-    int64_t loss = 0;
-    for (model::TrajectoryId t : index_->CoveredBy(o)) {
-      if (counts_[t] == threshold_) ++loss;
-    }
-    return loss;
-  }
+  /// Influence lost if `o` were removed: #trajectories in o's list exactly
+  /// at the threshold. O(1); only meaningful when `o` is currently
+  /// counted.
+  int64_t MarginalLoss(model::BillboardId o) const { return loss_[o]; }
 
   /// Influence gained by adding `add` right after removing `rem`, i.e.
   /// I(S \ {rem} ∪ {add}) - I(S \ {rem}), in one pass without mutation.
-  /// Requires rem currently counted and add not counted. Relies on both
-  /// incidence lists being sorted ascending (an InfluenceIndex invariant,
-  /// DCHECKed in debug builds) for its merge pointer.
+  /// Requires rem currently counted and add not counted. Walks the lists
+  /// rather than the tables, so it serves as their reference (the BLS
+  /// DCHECKs) and scores sampled scans. Relies on both incidence lists
+  /// being sorted ascending (an InfluenceIndex invariant) for its merge
+  /// pointer.
   int64_t MarginalGainAfterRemove(model::BillboardId add,
                                   model::BillboardId rem) const;
 
@@ -149,51 +127,19 @@ class CoverageCounter {
   }
 
   /// Number of billboards of S covering trajectory `t`.
-  uint16_t CountOf(model::TrajectoryId t) const {
-    return compressed_ ? compressed_->CountOf(t) : counts_[t];
-  }
+  uint16_t CountOf(model::TrajectoryId t) const { return counts_[t]; }
 
   /// Current I(S).
-  int64_t influence() const {
-    return compressed_ ? compressed_->influence() : influence_;
-  }
+  int64_t influence() const { return influence_; }
 
   /// The impression threshold m (1 = the paper's set-union measure).
   uint16_t impression_threshold() const { return threshold_; }
 
-  /// Mutation stamp: advances on every Add/Remove/Clear (and on
-  /// MarkStructuralChange). A value cached against this counter at epoch e
-  /// describes the counter exactly iff epoch() still equals e.
-  uint64_t epoch() const { return epoch_; }
-
-  /// The epoch of the most recent *shrinking* mutation (Remove, Clear, or
-  /// MarkStructuralChange). While only Add() advances epoch() past a stamp
-  /// s >= last_shrink_epoch(), every count is non-decreasing, so with
-  /// impression_threshold == 1 MarginalGain(o) is non-increasing: a gain
-  /// cached at such a stamp remains a valid *upper bound*. This is the
-  /// invariant the lazy greedy selector rests on (DESIGN.md §5.1). For
-  /// thresholds > 1 gains are not monotone and no such bound holds.
-  uint64_t last_shrink_epoch() const { return last_shrink_epoch_; }
-
-  /// Invalidates every cached observation of this counter (advances the
-  /// epoch as a shrink). Assignment::SwapSets calls this after swapping
-  /// counter objects between advertisers, where "which advertiser this
-  /// counter describes" changes without any Add/Remove.
-  void MarkStructuralChange() {
-    ++epoch_;
-    last_shrink_epoch_ = epoch_;
-  }
-
   /// Resets to the empty set.
   void Clear() {
-    if (compressed_) {
-      compressed_->Clear();
-    } else {
-      std::fill(counts_.begin(), counts_.end(), 0);
-      influence_ = 0;
-    }
-    ++epoch_;
-    last_shrink_epoch_ = epoch_;
+    std::fill(counts_.begin(), counts_.end(), 0);
+    influence_ = 0;
+    ResetMarginals();
   }
 
   const InfluenceIndex& index() const { return *index_; }
@@ -205,15 +151,38 @@ class CoverageCounter {
     return (c == threshold_ ? 1 : 0) - (c + 1 == threshold_ ? 1 : 0);
   }
 
+  /// Moves trajectory `t` from count `from` to `to` in the gain and loss
+  /// of every board covering it; a no-op unless either count is m−1 or m.
+  void Retally(model::TrajectoryId t, int from, int to) {
+    const int m = threshold_;
+    const int dgain = (to == m - 1) - (from == m - 1);
+    const int dloss = (to == m) - (from == m);
+    if (dgain == 0 && dloss == 0) return;
+    index_->ForEachCovering(t, [this, dgain, dloss](model::BillboardId b) {
+      gain_[b] += dgain;
+      loss_[b] += dloss;
+    });
+  }
+
+  /// The marginals of the empty set: every count is 0, so gain[o] is
+  /// |L(o)| when m = 1 and 0 otherwise; every loss is 0.
+  void ResetMarginals() {
+    std::fill(loss_.begin(), loss_.end(), 0);
+    for (size_t o = 0; o < gain_.size(); ++o) {
+      gain_[o] = threshold_ == 1 ? static_cast<int32_t>(index_->InfluenceOf(
+                                       static_cast<model::BillboardId>(o)))
+                                 : 0;
+    }
+  }
+
   const InfluenceIndex* index_;
   uint16_t threshold_;
-  /// Plain-list state; empty when the compressed delegate is engaged.
-  std::vector<uint16_t> counts_;
+  std::vector<uint16_t> counts_;  ///< c_t, by trajectory
   int64_t influence_ = 0;
-  uint64_t epoch_ = 1;              ///< 0 is reserved for "never stamped"
-  uint64_t last_shrink_epoch_ = 1;
-  /// Engaged iff the index is compressed; holds counts/influence then.
-  std::optional<cindex::CompressedCoverageCounter> compressed_;
+  std::vector<int32_t> gain_;  ///< by billboard
+  std::vector<int32_t> loss_;  ///< by billboard
+  /// MarginalGainAfterRemove's decode of rem's list on compressed indexes.
+  mutable std::vector<model::TrajectoryId> rem_scratch_;
 };
 
 }  // namespace mroam::influence

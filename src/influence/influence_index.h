@@ -70,10 +70,9 @@ class InfluenceIndex {
 
   /// Billboards influencing trajectory `t`, sorted ascending — the reverse
   /// of CoveredBy. Built once with the index (O(total supply)) and shared
-  /// by every consumer: the lazy greedy selector uses it to localize cache
-  /// invalidation instead of rebuilding the reverse map per run, and the
-  /// snapshot format persists it alongside the forward lists. Requires
-  /// has_plain().
+  /// by every consumer: CoverageCounter walks it to keep the boards'
+  /// marginal gains and losses current, and the snapshot format persists
+  /// it alongside the forward lists. Requires has_plain().
   const std::vector<model::BillboardId>& CoveringOf(
       model::TrajectoryId t) const {
     MROAM_DCHECK(has_plain_);

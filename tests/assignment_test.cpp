@@ -35,7 +35,7 @@ TEST_F(AssignmentTest, InitialStateIsAllFreeFullRegret) {
   EXPECT_DOUBLE_EQ(s.RegretOf(1), 6.0);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 16.0);
   EXPECT_EQ(s.OwnerOf(0), market::kNoAdvertiser);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(AssignmentTest, AssignUpdatesEverything) {
@@ -48,7 +48,7 @@ TEST_F(AssignmentTest, AssignUpdatesEverything) {
   // R = 10 * (1 - 0.5 * 3/4) = 6.25; advertiser 1 still at 6.
   EXPECT_DOUBLE_EQ(s.RegretOf(0), 6.25);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 12.25);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(AssignmentTest, ReleaseRestoresState) {
@@ -61,7 +61,7 @@ TEST_F(AssignmentTest, ReleaseRestoresState) {
   s.Release(1);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 16.0);
   EXPECT_EQ(s.FreeBillboards().size(), 5u);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(AssignmentTest, DeltaAssignMatchesMutation) {
@@ -71,7 +71,7 @@ TEST_F(AssignmentTest, DeltaAssignMatchesMutation) {
   double delta = s.DeltaAssign(1, 0);
   s.Assign(1, 0);
   EXPECT_NEAR(s.TotalRegret() - before, delta, 1e-9);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(AssignmentTest, DeltaReleaseMatchesMutation) {
@@ -96,7 +96,7 @@ TEST_F(AssignmentTest, DeltaExchangeAcrossMatchesMutation) {
   EXPECT_EQ(s.OwnerOf(2), 0);
   EXPECT_EQ(s.InfluenceOf(0), 4);
   EXPECT_EQ(s.InfluenceOf(1), 3);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(AssignmentTest, DeltaReplaceMatchesMutation) {
@@ -109,7 +109,7 @@ TEST_F(AssignmentTest, DeltaReplaceMatchesMutation) {
   EXPECT_NEAR(s.TotalRegret() - before, delta, 1e-9);
   EXPECT_EQ(s.OwnerOf(0), market::kNoAdvertiser);
   EXPECT_EQ(s.OwnerOf(2), 0);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(AssignmentTest, SwapSetsExchangesWholePlans) {
@@ -127,7 +127,7 @@ TEST_F(AssignmentTest, SwapSetsExchangesWholePlans) {
   EXPECT_EQ(s.OwnerOf(2), 0);
   EXPECT_EQ(s.InfluenceOf(0), 4);
   EXPECT_EQ(s.InfluenceOf(1), 4);  // o0 + o1 cover {0,1,2,3}
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(AssignmentTest, OverlappingCoverageDoesNotDoubleCount) {
@@ -143,7 +143,7 @@ TEST_F(AssignmentTest, ZeroInfluenceBillboardIsNeutral) {
   s.Assign(4, 0);
   EXPECT_EQ(s.InfluenceOf(0), 0);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), before);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(AssignmentTest, ReleaseAllAndReset) {
@@ -157,7 +157,7 @@ TEST_F(AssignmentTest, ReleaseAllAndReset) {
   s.Reset();
   EXPECT_EQ(s.FreeBillboards().size(), 5u);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 16.0);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(AssignmentTest, CopyDeploymentFrom) {
@@ -169,11 +169,11 @@ TEST_F(AssignmentTest, CopyDeploymentFrom) {
   EXPECT_EQ(b.OwnerOf(0), 0);
   EXPECT_EQ(b.OwnerOf(2), 1);
   EXPECT_DOUBLE_EQ(b.TotalRegret(), a.TotalRegret());
-  b.VerifyInvariants();
+  EXPECT_EQ(b.CheckInvariants(), common::Status::Ok());
   // Mutating the copy leaves the original untouched.
   b.Release(0);
   EXPECT_EQ(a.OwnerOf(0), 0);
-  a.VerifyInvariants();
+  EXPECT_EQ(a.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(AssignmentTest, BreakdownSplitsComponents) {
@@ -252,9 +252,11 @@ TEST_P(AssignmentSoakTest, RandomMoveSequencesKeepInvariants) {
       s.SwapSets(i, j);
       ASSERT_NEAR(s.TotalRegret() - before, delta, 1e-9);
     }
-    if (step % 50 == 0) s.VerifyInvariants();
+    if (step % 50 == 0) {
+      EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
+    }
   }
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AssignmentSoakTest,

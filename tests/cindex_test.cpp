@@ -1,8 +1,8 @@
 // Tests of the block-compressed posting-list codec (src/cindex): encode /
 // decode round trips across density regimes, wire-level validation of
-// corrupted blobs, ownership semantics, the popcount kernel, and the
-// bit-identity of the compressed coverage counter — and of whole solver
-// runs — on FromCompressed indexes against their plain-list originals.
+// corrupted blobs, ownership semantics, and the bit-identity of the
+// coverage counter — and of whole solver runs — on FromCompressed indexes
+// against their plain-list originals.
 #include "cindex/postings.h"
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cindex/compressed_counter.h"
 #include "common/rng.h"
 #include "core/solver.h"
 #include "gen/city_generators.h"
@@ -221,29 +220,6 @@ TEST(CompressedPostingsTest, ValidateCatchesBlockHeaderTampering) {
     bad[data_off + 2] ^= 0x10;  // perturb the stored (count - 1)
     auto parsed = CompressedPostings::FromBytes(bad, Ownership::kCopy);
     EXPECT_FALSE(parsed.ok()) << "accepted a tampered block count";
-  }
-}
-
-TEST(CompressedPostingsTest, CountAbsentMatchesBruteForce) {
-  common::Rng rng(23);
-  const int32_t universe = 3000;
-  Lists lists = RandomLists(&rng, 30, universe);
-  CompressedPostings postings = CompressedPostings::Build(lists, universe);
-
-  // Random block-padded bitmap (the caller contract) with bits past the
-  // universe left zero, as CompressedCoverageCounter maintains it.
-  std::vector<uint64_t> bits(BitmapWords(universe), 0);
-  for (int32_t t = 0; t < universe; ++t) {
-    if (rng.Bernoulli(0.4)) bits[t >> 6] |= uint64_t{1} << (t & 63);
-  }
-  for (uint32_t i = 0; i < postings.num_lists(); ++i) {
-    int64_t expected = 0;
-    for (int32_t v : lists[i]) {
-      if ((bits[v >> 6] & (uint64_t{1} << (v & 63))) == 0) ++expected;
-    }
-    EXPECT_EQ(postings.CountAbsent(static_cast<int32_t>(i), bits.data()),
-              expected)
-        << "list " << i;
   }
 }
 

@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/assignment.h"
 #include "test_util.h"
 
 namespace mroam::influence {
 namespace {
 
+using mroam::testing::CompressedTwin;
 using mroam::testing::IndexFromIncidence;
 
 TEST(CoverageCounterTest, AddRemoveMaintainsInfluence) {
@@ -300,6 +303,143 @@ TEST(CoverageCounterBruteForceTest, GainAfterRemoveMatchesRecompute) {
               << " rem " << rem << " add " << add;
         }
       }
+    }
+  }
+}
+
+// --- the maintained marginal tables --------------------------------------
+
+/// Every board's MarginalGain/MarginalLoss against a recount from CountOf
+/// over its incidence list.
+void ExpectTablesMatchRecount(const CoverageCounter& counter,
+                              const std::string& where) {
+  const InfluenceIndex& index = counter.index();
+  const int m = counter.impression_threshold();
+  for (model::BillboardId o = 0; o < index.num_billboards(); ++o) {
+    int64_t gain = 0;
+    int64_t loss = 0;
+    index.ForEachCovered(o, [&](model::TrajectoryId t) {
+      if (counter.CountOf(t) == m - 1) ++gain;
+      if (counter.CountOf(t) == m) ++loss;
+    });
+    EXPECT_EQ(counter.MarginalGain(o), gain) << where << ", board " << o;
+    EXPECT_EQ(counter.MarginalLoss(o), loss) << where << ", board " << o;
+  }
+}
+
+/// Random incidence over `num_trajectories` with plenty of overlap, as a
+/// plain index.
+InfluenceIndex RandomIndex(int32_t num_billboards, int32_t num_trajectories,
+                           common::Rng* rng) {
+  std::vector<std::vector<model::TrajectoryId>> covered(num_billboards);
+  for (auto& list : covered) {
+    for (model::TrajectoryId t = 0; t < num_trajectories; ++t) {
+      if (rng->Bernoulli(0.3)) list.push_back(t);
+    }
+  }
+  return InfluenceIndex::FromIncidence(covered, num_trajectories,
+                                       testing::kFixtureLambda);
+}
+
+// Add/Remove/Clear, copy-construction and copy-assignment keep the tables
+// equal to recounts on both representations, at thresholds 1-3.
+TEST(CoverageCounterTablesTest, MatchRecountsUnderRandomOperations) {
+  for (uint64_t seed : {3u, 5u, 8u}) {
+    common::Rng rng(seed);
+    const InfluenceIndex plain = RandomIndex(16, 40, &rng);
+    const InfluenceIndex twin = CompressedTwin(plain);
+    for (const InfluenceIndex* index : {&plain, &twin}) {
+      for (uint16_t m : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
+        const std::string run = "seed " + std::to_string(seed) +
+                                (index->has_plain() ? " plain" : " twin") +
+                                " m " + std::to_string(m);
+        CoverageCounter counter(index, m);
+        ExpectTablesMatchRecount(counter, run + " empty");
+        std::vector<bool> in(16, false);
+        for (int step = 0; step < 300; ++step) {
+          const std::string where = run + " step " + std::to_string(step);
+          const auto o = static_cast<model::BillboardId>(rng.UniformU64(16));
+          if (rng.Bernoulli(0.01)) {
+            counter.Clear();
+            in.assign(16, false);
+          } else if (!in[o]) {
+            counter.Add(o);
+            in[o] = true;
+          } else {
+            counter.Remove(o);
+            in[o] = false;
+          }
+          ExpectTablesMatchRecount(counter, where);
+          if (HasFailure()) return;
+          if (step % 25 == 0) {
+            CoverageCounter copy(counter);
+            ExpectTablesMatchRecount(copy, where + " copy");
+            CoverageCounter assigned(index, m);
+            assigned.Add(o);
+            assigned = counter;
+            ExpectTablesMatchRecount(assigned, where + " assigned");
+            // The copies are independent of the original.
+            if (in[o]) {
+              copy.Remove(o);
+            } else {
+              copy.Add(o);
+            }
+            ExpectTablesMatchRecount(copy, where + " copy mutated");
+            ExpectTablesMatchRecount(counter, where + " after copy");
+          }
+        }
+      }
+    }
+  }
+}
+
+// The Assignment paths that move whole counters — copy-construction,
+// copy-assignment, CopyDeploymentFrom and SwapSets — keep every
+// advertiser's tables equal to recounts.
+TEST(CoverageCounterTablesTest, MatchRecountsThroughAssignmentMoves) {
+  common::Rng rng(13);
+  const InfluenceIndex plain = RandomIndex(20, 30, &rng);
+  const InfluenceIndex twin = CompressedTwin(plain);
+  const std::vector<market::Advertiser> ads = {
+      testing::Adv(0, 8, 10.0), testing::Adv(1, 12, 20.0),
+      testing::Adv(2, 5, 7.0)};
+  for (const InfluenceIndex* index : {&plain, &twin}) {
+    for (uint16_t m : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
+      core::Assignment s(index, ads, core::RegretParams{0.5}, m);
+      core::Assignment other(s);
+      for (int step = 0; step < 200; ++step) {
+        const auto a = static_cast<market::AdvertiserId>(rng.UniformU64(3));
+        const auto b = static_cast<market::AdvertiserId>(rng.UniformU64(3));
+        const double op = rng.UniformDouble();
+        if (op < 0.45 && !s.FreeBillboards().empty()) {
+          const auto& free = s.FreeBillboards();
+          s.Assign(free[rng.UniformU64(free.size())], a);
+        } else if (op < 0.7 && !s.BillboardsOf(a).empty()) {
+          s.Release(s.BillboardsOf(a).front());
+        } else if (op < 0.8 && a != b) {
+          s.SwapSets(a, b);
+        } else if (op < 0.88) {
+          other.CopyDeploymentFrom(s);
+          if (!other.FreeBillboards().empty()) {
+            other.Assign(other.FreeBillboards().back(), b);
+          }
+          s.CopyDeploymentFrom(other);
+        } else if (op < 0.94) {
+          other = s;
+        } else {
+          core::Assignment copy(other);
+          s = copy;
+        }
+        const std::string where =
+            std::string(index->has_plain() ? "plain" : "twin") + " m " +
+            std::to_string(m) + " step " + std::to_string(step);
+        for (market::AdvertiserId x = 0; x < 3; ++x) {
+          ExpectTablesMatchRecount(s.CounterOf(x),
+                                   where + " advertiser " + std::to_string(x));
+        }
+        if (HasFailure()) return;
+      }
+      EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
     }
   }
 }

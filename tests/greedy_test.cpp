@@ -83,7 +83,7 @@ TEST_F(PaperExampleTest, GOrderReachesZeroRegretHere) {
   // takes {o3, o5, o6} for exactly 5, a2 (BE 1.57) takes {o4} for 7.
   Assignment s = MakeAssignment();
   BudgetEffectiveGreedy(&s);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
   EXPECT_EQ(s.Breakdown().satisfied_count, 3);
 
@@ -98,7 +98,7 @@ TEST_F(PaperExampleTest, GGlobalIsGreedyButSuboptimalHere) {
   // total = 2 + 0 + 20*(1 - 0.5*7/8) = 13.25.
   Assignment s = MakeAssignment();
   SynchronousGreedy(&s);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 13.25);
   EXPECT_TRUE(s.IsSatisfied(0));
   EXPECT_TRUE(s.IsSatisfied(1));
@@ -128,7 +128,7 @@ TEST(BudgetEffectiveGreedyTest, UnsatisfiableAdvertiserDoesNotDrainPool) {
   Assignment s(&index, {Adv(0, 5, 100.0), Adv(1, 1, 1.0)},
                RegretParams{0.5});
   BudgetEffectiveGreedy(&s);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
   EXPECT_FALSE(s.IsSatisfied(0));
   EXPECT_EQ(s.InfluenceOf(0), 4);  // o0, o2, o3 — never the redundant o1
   EXPECT_EQ(s.OwnerOf(1), 1);      // the zero-gain leftover serves a1
@@ -151,7 +151,7 @@ TEST(BudgetEffectiveGreedyTest, StopsWhenBillboardsRunOut) {
   Assignment s(&index, {Adv(0, 10, 10.0), Adv(1, 10, 5.0)},
                RegretParams{0.5});
   BudgetEffectiveGreedy(&s);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
   // Everything goes to the first-ordered advertiser; none satisfied.
   EXPECT_EQ(s.BillboardsOf(0).size(), 2u);
   EXPECT_TRUE(s.FreeBillboards().empty());
@@ -163,7 +163,7 @@ TEST(SynchronousGreedyTest, RoundRobinSharesBillboards) {
   auto index = IndexFromIncidence({{0}, {1}, {2}, {3}}, 4, &d);
   Assignment s(&index, {Adv(0, 2, 4.0), Adv(1, 2, 4.0)}, RegretParams{0.5});
   SynchronousGreedy(&s);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
   EXPECT_EQ(s.BillboardsOf(0).size(), 2u);
   EXPECT_EQ(s.BillboardsOf(1).size(), 2u);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
@@ -179,7 +179,7 @@ TEST(SynchronousGreedyTest, ReleasesLeastBudgetEffectiveUnderScarcity) {
                {Adv(0, 2, 6.0), Adv(1, 2, 4.0), Adv(2, 2, 2.0)},
                RegretParams{0.5});
   SynchronousGreedy(&s);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
   EXPECT_TRUE(s.IsSatisfied(0));
   EXPECT_TRUE(s.IsSatisfied(1));
   EXPECT_FALSE(s.IsSatisfied(2));
@@ -196,7 +196,7 @@ TEST(SynchronousGreedyTest, ResumesFromNonEmptyState) {
   Assignment s(&index, {Adv(0, 2, 4.0), Adv(1, 2, 4.0)}, RegretParams{0.5});
   s.Assign(3, 0);  // pre-seed
   SynchronousGreedy(&s);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
   EXPECT_EQ(s.OwnerOf(3), 0);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
 }
@@ -216,12 +216,36 @@ TEST(GreedyTieBreakTest, GammaZeroFallsBackToCoverageEfficiency) {
 }
 
 TEST(GreedyTieBreakTest, FullTieBreaksToLowestId) {
-  // Identical billboards: ratio and gain-ratio tie; the lowest id wins so
-  // runs are deterministic.
+  // Identical billboards: ratio and gain-ratio tie exactly; the lowest id
+  // wins so runs are deterministic. Once o0 is taken the other three have
+  // zero gain, and only o4 can help. Every candidate with supply is
+  // scored, each pick.
   model::Dataset d;
-  auto index = IndexFromIncidence({{0, 1}, {0, 1}, {0, 1}}, 2, &d);
-  Assignment s(&index, {Adv(0, 2, 4.0)}, RegretParams{0.5});
+  auto index = IndexFromIncidence(
+      {{0, 1}, {0, 1}, {0, 1}, {0, 1}, {2}}, 3, &d);
+  Assignment s(&index, {Adv(0, 3, 9.0)}, RegretParams{0.5});
+  int64_t scored = 0;
+  EXPECT_EQ(BestBillboardFor(s, 0, &scored), 0);
+  EXPECT_EQ(scored, 5);
+  s.Assign(0, 0);
+  EXPECT_EQ(BestBillboardFor(s, 0, &scored), 4);
+  EXPECT_EQ(scored, 9);
+}
+
+TEST(BestBillboardTest, ImpressionThresholdKeepsZeroGainBoardsEligible) {
+  // At threshold 2 no single board influences anyone, so every gain is 0
+  // on the empty plan. The boards stay eligible, since the first meeting
+  // bootstraps coverage, and the tie goes to the lowest id. After o0, o1
+  // lifts t0 and t1 to two meetings.
+  model::Dataset d;
+  auto index = IndexFromIncidence({{0, 1}, {0, 1}, {2}}, 3, &d);
+  Assignment s(&index, {Adv(0, 2, 4.0)}, RegretParams{0.5},
+               /*impression_threshold=*/2);
+  EXPECT_EQ(s.MarginalGain(0, 0), 0);
   EXPECT_EQ(BestBillboardFor(s, 0), 0);
+  s.Assign(0, 0);
+  EXPECT_EQ(s.MarginalGain(0, 1), 2);
+  EXPECT_EQ(BestBillboardFor(s, 0), 1);
 }
 
 TEST(SynchronousGreedyTest, SingleUnsatisfiedAdvertiserIsNotReleased) {

@@ -25,7 +25,7 @@ TEST(ImpressionModelTest, AssignmentCountsThresholdedInfluence) {
   EXPECT_EQ(s.InfluenceOf(0), 0);
   s.Assign(1, 0);
   EXPECT_EQ(s.InfluenceOf(0), 2);  // both trajectories met twice
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
   EXPECT_TRUE(s.IsSatisfied(0));
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
 }
@@ -44,7 +44,7 @@ TEST(ImpressionModelTest, MoveDeltasRemainConsistent) {
   double before = s.TotalRegret();
   s.ExchangeAcross(1, 3);
   EXPECT_NEAR(s.TotalRegret() - before, delta, 1e-9);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST(ImpressionModelTest, SolverRunsUnderThreshold) {

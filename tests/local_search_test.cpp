@@ -54,7 +54,7 @@ TEST_F(ExampleThreeTest, AlsCannotEscape) {
   LocalSearchStats stats = AdvertiserDrivenLocalSearch(&s, config);
   EXPECT_EQ(stats.moves_applied, 0);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 3.0);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST_F(ExampleThreeTest, BlsFindsTheZeroRegretExchange) {
@@ -66,7 +66,7 @@ TEST_F(ExampleThreeTest, BlsFindsTheZeroRegretExchange) {
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
   EXPECT_EQ(s.InfluenceOf(0), 5);
   EXPECT_EQ(s.InfluenceOf(1), 4);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 class PaperExampleSearchTest : public ::testing::Test {
@@ -92,7 +92,7 @@ TEST_F(PaperExampleSearchTest, LocalSearchNeverWorsensTheGreedyPlan) {
       BillboardDrivenLocalSearch(&s, config, &rng);
     }
     EXPECT_LE(s.TotalRegret(), greedy_regret + 1e-9);
-    s.VerifyInvariants();
+    EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
   }
 }
 
@@ -136,7 +136,7 @@ TEST_F(PaperExampleSearchTest, FrameworkNeverWorseThanSynchronousGreedy) {
       index_, PaperExampleAdvertisers(), RegretParams{0.5},
       SearchStrategy::kBillboardDriven, config, &rng);
   EXPECT_LE(best.TotalRegret(), greedy.TotalRegret() + 1e-9);
-  best.VerifyInvariants();
+  EXPECT_EQ(best.CheckInvariants(), common::Status::Ok());
 }
 
 // Algorithm 3 fidelity regression: the greedy incumbent must get local
@@ -166,7 +166,7 @@ TEST_F(PaperExampleSearchTest, ZeroRestartsStillSearchesTheIncumbent) {
       // BlsRepairsTheGreedyPlanToZero) — restarts must not be required.
       EXPECT_DOUBLE_EQ(best.TotalRegret(), 0.0);
     }
-    best.VerifyInvariants();
+    EXPECT_EQ(best.CheckInvariants(), common::Status::Ok());
   }
 }
 
@@ -258,7 +258,7 @@ TEST(FirstImprovementTest, ScanSurvivesMidSweepListMutation) {
   config.best_improvement = false;  // the first-improvement path
   LocalSearchStats stats = BillboardDrivenLocalSearch(&s, config, &gen);
   EXPECT_GT(stats.moves_applied, 0);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 // The exhaustive scans of moves 1-2 score candidates from per-scan tables.
@@ -431,7 +431,7 @@ TEST(BestImprovementTest, FindsTheSteepestExchange) {
   EXPECT_GT(best_stats.moves_applied, 0);
   EXPECT_LE(steepest.TotalRegret(), greedy_first.TotalRegret() + 1e-9);
   EXPECT_GE(best_stats.deltas_evaluated, first_stats.deltas_evaluated);
-  steepest.VerifyInvariants();
+  EXPECT_EQ(steepest.CheckInvariants(), common::Status::Ok());
 }
 
 TEST(BestImprovementTest, StillReachesZeroOnExampleThree) {

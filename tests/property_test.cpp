@@ -72,7 +72,7 @@ TEST(N3dmTest, ZeroRegretPlanExistsAndIsRecognized) {
   s.Assign(5, 2);  // y=4
   s.Assign(8, 2);  // z=8
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
-  s.VerifyInvariants();
+  EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
 TEST(N3dmTest, BlsSolvesSmallMatchingInstances) {

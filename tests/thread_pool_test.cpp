@@ -158,5 +158,40 @@ TEST(ParallelSolveDeterminismTest, AlsBreakdownIdenticalAcrossThreadCounts) {
   }
 }
 
+// Every method's plan is a pure function of the seed: the greedies and BLS
+// on a random instance dense with overlaps and exact selection-rule ties.
+TEST(ParallelSolveDeterminismTest, SolveIdenticalAcrossThreadCounts) {
+  Rng rng(7);
+  std::vector<std::vector<model::TrajectoryId>> covered(30);
+  for (auto& list : covered) {
+    for (model::TrajectoryId t = 0; t < 15; ++t) {
+      if (rng.Bernoulli(0.3)) list.push_back(t);
+    }
+  }
+  model::Dataset dataset;
+  influence::InfluenceIndex index =
+      mroam::testing::IndexFromIncidence(covered, 15, &dataset);
+  std::vector<market::Advertiser> ads;
+  for (market::AdvertiserId a = 0; a < 6; ++a) {
+    ads.push_back(mroam::testing::Adv(
+        a, rng.UniformInt(1, 20), static_cast<double>(rng.UniformInt(1, 50))));
+  }
+
+  for (core::Method method :
+       {core::Method::kGOrder, core::Method::kGGlobal, core::Method::kBls}) {
+    core::SolverConfig config;
+    config.method = method;
+    config.seed = 11;
+    config.local_search.restarts = 2;
+    config.local_search.num_threads = 1;
+    const core::SolveResult baseline = core::Solve(index, ads, config);
+    config.local_search.num_threads = 4;
+    const core::SolveResult result = core::Solve(index, ads, config);
+    EXPECT_EQ(result.sets, baseline.sets) << core::MethodName(method);
+    EXPECT_EQ(result.breakdown.total, baseline.breakdown.total)
+        << core::MethodName(method);
+  }
+}
+
 }  // namespace
 }  // namespace mroam::common

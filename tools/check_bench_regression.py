@@ -16,12 +16,12 @@ per-iteration work counters. Two --current schemas are accepted:
                      fields are the counters)
 
 The micro-benchmark counters are seeded and workload-deterministic —
-greedy.deltas counts marginal-gain recomputations, bls.deltas_evaluated
-the moves exhaustive BLS scored, the replan.* family
+greedy.deltas counts the candidates the greedy selection rule scored,
+bls.deltas_evaluated the moves exhaustive BLS scored, the replan.* family
 measures the incremental replanner's churn response — so any increase
-beyond the tolerance means the algorithm got worse (e.g. cache
-invalidation broke, the blast radius exploded), not that the machine was
-noisy. The serve stage latencies ARE wall-clock; their gate uses a wide
+beyond the tolerance means the algorithm got worse (e.g. the greedy
+scored a candidate twice, the blast radius exploded), not that the
+machine was noisy. The serve stage latencies ARE wall-clock; their gate uses a wide
 tolerance plus an absolute --slack floor so only an order-of-regression
 (a blocking call on the replan path, a lost group commit) trips it —
 sub-millisecond baselines would otherwise turn scheduler jitter into a
