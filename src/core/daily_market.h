@@ -29,7 +29,7 @@ enum class ReplanPolicy {
   /// drifts past IncrementalReplanConfig::max_regret_drift relative to the
   /// last full solve. Cheaper than kReoptimizeAll, but not close to its
   /// regret: on contractbench's replan_churn workload (4-vCPU VM) an
-  /// incremental day takes ~2.4 ms against ~22 ms for a full 3-restart BLS
+  /// incremental day takes ~0.7 ms against ~4 ms for a full 3-restart BLS
   /// solve, and leaves 57–145× its regret (regret ratio ~0.0027 against
   /// 0.00002–0.00005), because it runs none of Algorithm 3's restarts.
   kIncremental,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -24,6 +25,14 @@ constexpr double kAbsEps = 1e-9;
 /// of the current objective (plus an absolute epsilon against FP cycling).
 bool Accepts(double delta, double current_total, double r) {
   return delta <= -(kAbsEps + r * std::abs(current_total));
+}
+
+/// The influence nearest `demand` that `base + k` can reach, where the
+/// correction k lies in [−min(gain_m, gain_n), min(loss_m, loss_n)].
+int64_t NearestReachable(int64_t demand, int64_t base, int64_t gain_m,
+                         int64_t gain_n, int64_t loss_m, int64_t loss_n) {
+  return std::clamp(demand, base - std::min(gain_m, gain_n),
+                    base + std::min(loss_m, loss_n));
 }
 
 }  // namespace
@@ -79,6 +88,70 @@ void MoveScanTables::Start(const Assignment& assignment, AdvertiserId i,
   // Resize, not assign: the storage outlives the scan, so after the first
   // scans no call allocates. corr_ stays zero outside touched_.
   corr_.resize(static_cast<size_t>(assignment.num_billboards()));
+  extremes_ = ColumnExtremes{};
+  ColumnExtremes& e = extremes_;
+  for (const BillboardId on : *cols_) {
+    e.min_gain_i = std::min(e.min_gain_i, ci_->MarginalGain(on));
+    e.max_gain_i = std::max(e.max_gain_i, ci_->MarginalGain(on));
+    e.max_loss_i = std::max(e.max_loss_i, ci_->MarginalLoss(on));
+    if (cj_ == nullptr) continue;
+    e.min_loss_j = std::min(e.min_loss_j, cj_->MarginalLoss(on));
+    e.max_loss_j = std::max(e.max_loss_j, cj_->MarginalLoss(on));
+    e.max_gain_j = std::max(e.max_gain_j, cj_->MarginalGain(on));
+  }
+}
+
+double MoveScanTables::CoarseRowBound(size_t x) const {
+  if (cols_->empty()) return std::numeric_limits<double>::infinity();
+  const ColumnExtremes& e = extremes_;
+  const BillboardId om = (*rows_)[x];
+  // Column o_n's interval for i is base + [max(0, gain(o_n) − gain(o_m)),
+  // gain(o_n) + min(loss(o_m), loss(o_n))], inside this hull.
+  const int64_t gain_i = ci_->MarginalGain(om);
+  const int64_t loss_i = ci_->MarginalLoss(om);
+  const int64_t base_i = base_i_ - loss_i;
+  const int64_t near_i =
+      std::clamp(s_->advertiser(i_).demand,
+                 base_i + std::max<int64_t>(0, e.min_gain_i - gain_i),
+                 base_i + e.max_gain_i + std::min(loss_i, e.max_loss_i));
+  if (cj_ == nullptr) return s_->RegretDelta(i_, near_i);
+  // For j: I(S_j) − loss(o_n) + gain(o_m) + [−min(gain(o_m), gain(o_n)),
+  // min(loss(o_m), loss(o_n))].
+  const int64_t gain_j = cj_->MarginalGain(om);
+  const int64_t base_j = base_j_ + gain_j;
+  const int64_t near_j = std::clamp(
+      s_->advertiser(j_).demand,
+      base_j - e.max_loss_j - std::min(gain_j, e.max_gain_j),
+      base_j - e.min_loss_j + std::min(cj_->MarginalLoss(om), e.max_loss_j));
+  return s_->RegretDelta(i_, near_i, j_, near_j);
+}
+
+double MoveScanTables::RowBound(size_t x) const {
+  const BillboardId om = (*rows_)[x];
+  const int64_t demand_i = s_->advertiser(i_).demand;
+  const int64_t gain_i = ci_->MarginalGain(om);
+  const int64_t loss_i = ci_->MarginalLoss(om);
+  // The exchange also moves o_n out of S_j and o_m into it.
+  const int64_t demand_j = cj_ != nullptr ? s_->advertiser(j_).demand : 0;
+  const int64_t gain_j = cj_ != nullptr ? cj_->MarginalGain(om) : 0;
+  const int64_t loss_j = cj_ != nullptr ? cj_->MarginalLoss(om) : 0;
+  double bound = std::numeric_limits<double>::infinity();
+  for (const BillboardId on : *cols_) {
+    const int64_t gi = ci_->MarginalGain(on);
+    const int64_t near_i =
+        NearestReachable(demand_i, base_i_ - loss_i + gi, gain_i, gi, loss_i,
+                         ci_->MarginalLoss(on));
+    if (cj_ == nullptr) {
+      bound = std::min(bound, s_->RegretDelta(i_, near_i));
+      continue;
+    }
+    const int64_t lj = cj_->MarginalLoss(on);
+    const int64_t near_j =
+        NearestReachable(demand_j, base_j_ - lj + gain_j, gain_j,
+                         cj_->MarginalGain(on), loss_j, lj);
+    bound = std::min(bound, s_->RegretDelta(i_, near_i, j_, near_j));
+  }
+  return bound;
 }
 
 void MoveScanTables::LoadRow(size_t x) {
@@ -115,13 +188,24 @@ double ReferenceDelta(const Assignment& s, AdvertiserId j, BillboardId om,
                                     : s.DeltaExchangeAcross(om, on);
 }
 
+/// True when no (om, o_n), o_n in `cols`, passes Accepts on its reference
+/// delta: what the Debug build checks of every row the bound skips.
+bool NoColumnAccepts(const Assignment& s, AdvertiserId j, BillboardId om,
+                     const std::vector<BillboardId>& cols, double r) {
+  return std::none_of(cols.begin(), cols.end(), [&](BillboardId on) {
+    return Accepts(ReferenceDelta(s, j, om, on), s.TotalRegret(), r);
+  });
+}
+
 /// Scans (o_m, o_n) in S_i × S_j (move 1) or, with j == kNoAdvertiser,
 /// S_i × the free pool (move 2) and picks the first accepted candidate, or
 /// the best under config.best_improvement. The scan mutates nothing — the
 /// caller applies the pick — so it walks the live lists. A scan with more
 /// pairs than a positive config.max_exchange_candidates samples that many
 /// pairs through the Delta* queries; every other scan is exhaustive, in
-/// the paper's order, and scored from `tables`.
+/// the paper's order, and scored from `tables`, skipping each row whose
+/// CoarseRowBound or else RowBound fails the acceptance test: no column
+/// of it could pass.
 Pick PickMove(const Assignment& s, AdvertiserId i, AdvertiserId j,
               const LocalSearchConfig& config, common::Rng* rng,
               MoveScanTables* tables, LocalSearchStats* stats) {
@@ -130,13 +214,12 @@ Pick PickMove(const Assignment& s, AdvertiserId i, AdvertiserId j,
   const std::vector<BillboardId>& cols =
       j == market::kNoAdvertiser ? s.FreeBillboards() : s.BillboardsOf(j);
   if (rows.empty() || cols.empty()) return best;
+  const double r = config.improvement_ratio;
 
   // Returns true when the scan should stop at this candidate.
   auto consider = [&](BillboardId om, BillboardId on, double delta) {
     ++stats->deltas_evaluated;
-    if (!Accepts(delta, s.TotalRegret(), config.improvement_ratio)) {
-      return false;
-    }
+    if (!Accepts(delta, s.TotalRegret(), r)) return false;
     if (!config.best_improvement) {
       best = {om, on, delta};
       return true;
@@ -158,6 +241,11 @@ Pick PickMove(const Assignment& s, AdvertiserId i, AdvertiserId j,
   }
   tables->Start(s, i, j);
   for (size_t x = 0; x < rows.size(); ++x) {
+    if (!Accepts(tables->CoarseRowBound(x), s.TotalRegret(), r) ||
+        !Accepts(tables->RowBound(x), s.TotalRegret(), r)) {
+      MROAM_DCHECK(NoColumnAccepts(s, j, rows[x], cols, r));
+      continue;
+    }
     tables->LoadRow(x);
     for (size_t y = 0; y < cols.size(); ++y) {
       const double delta = tables->Delta(y);
@@ -168,18 +256,26 @@ Pick PickMove(const Assignment& s, AdvertiserId i, AdvertiserId j,
   return best;
 }
 
-/// BLS move 1 for one advertiser pair: apply the exchange PickMove finds.
-bool TryExchangeAcrossPair(Assignment* assignment, AdvertiserId i,
-                           AdvertiserId j, const LocalSearchConfig& config,
-                           common::Rng* rng, MoveScanTables* tables,
-                           LocalSearchStats* stats) {
+/// BLS move 1 for targets[x] against each later target: apply the
+/// exchange PickMove finds for every pair. The pass opens one span, not
+/// one per pair: with the tracer off a span still costs ~0.1 µs for the
+/// flight recorder, about as much as a pruned pair's scan (DESIGN.md §6).
+bool TryExchanges(Assignment* assignment,
+                  const std::vector<AdvertiserId>& targets, size_t x,
+                  const LocalSearchConfig& config, common::Rng* rng,
+                  MoveScanTables* tables, LocalSearchStats* stats) {
   MROAM_TRACE_SPAN("bls.move.exchange");
-  const Pick pick = PickMove(*assignment, i, j, config, rng, tables, stats);
-  if (!pick.found()) return false;
-  assignment->ExchangeAcross(pick.om, pick.on);
-  ++stats->moves_applied;
-  MROAM_COUNTER_ADD("bls.moves.exchange", 1);
-  return true;
+  bool any = false;
+  for (size_t y = x + 1; y < targets.size(); ++y) {
+    const Pick pick = PickMove(*assignment, targets[x], targets[y], config,
+                               rng, tables, stats);
+    if (!pick.found()) continue;
+    assignment->ExchangeAcross(pick.om, pick.on);
+    ++stats->moves_applied;
+    MROAM_COUNTER_ADD("bls.moves.exchange", 1);
+    any = true;
+  }
+  return any;
 }
 
 /// BLS move 2: replace an assigned billboard of `i` by a free billboard.
@@ -247,12 +343,9 @@ LocalSearchStats BillboardDrivenLocalSearchOver(
     for (size_t x = 0; x < t; ++x) {
       AdvertiserId i = targets[x];
       // The cross exchange is symmetric, so unordered pairs suffice.
-      for (size_t y = x + 1; y < t; ++y) {
-        AdvertiserId j = targets[y];
-        if (TryExchangeAcrossPair(assignment, i, j, config, rng, &tables,
-                                  &stats)) {
-          improved = true;
-        }
+      if (x + 1 < t &&
+          TryExchanges(assignment, targets, x, config, rng, &tables, &stats)) {
+        improved = true;
       }
       if (TryReplaceWithFree(assignment, i, config, rng, &tables, &stats)) {
         improved = true;
@@ -264,8 +357,14 @@ LocalSearchStats BillboardDrivenLocalSearchOver(
     // Move 4 (lines 5.11-5.13): hand the free pool to the (restricted)
     // SynchronousGreedy; keep the completed plan only if it is strictly
     // better. Restricting the completion keeps untargeted advertisers'
-    // deployments untouched, as the contract promises.
-    if (!assignment->FreeBillboards().empty()) {
+    // deployments untouched, as the contract promises. The greedy hands
+    // boards only to unsatisfied targets, so when every target is
+    // satisfied it would change nothing and the copy is skipped.
+    const bool any_unsatisfied =
+        std::any_of(targets.begin(), targets.end(), [&](AdvertiserId a) {
+          return !assignment->IsSatisfied(a);
+        });
+    if (any_unsatisfied && !assignment->FreeBillboards().empty()) {
       MROAM_TRACE_SPAN("bls.move.complete");
       if (!candidate.has_value()) {
         candidate.emplace(*assignment);

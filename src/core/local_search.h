@@ -2,6 +2,7 @@
 #define MROAM_CORE_LOCAL_SEARCH_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -30,8 +31,9 @@ struct LocalSearchConfig {
   /// pairs than a positive cap, it samples `cap` of them uniformly — an
   /// efficiency knob for large instances that does not change the
   /// neighborhood definition, only which improving move is found first.
-  /// Exhaustive scans are scored from per-scan tables, sampled ones
-  /// pair by pair (DESIGN.md §5.2).
+  /// Exhaustive scans are scored from per-scan tables and skip rows that
+  /// cannot hold an accepted move; sampled ones score pair by pair
+  /// (DESIGN.md §5.2).
   int64_t max_exchange_candidates = 0;
 
   /// BLS only: when true, each exchange scan (moves 1-2) applies the
@@ -68,6 +70,19 @@ struct LocalSearchStats {
 /// DeltaReplace bit for bit. BillboardDrivenLocalSearchOver owns one per
 /// call and reuses its storage across scans; a loaded row is valid until
 /// the assignment next changes.
+///
+/// RowBound lets a scan skip a row's walk when no column can be accepted.
+/// Each correction sums [c_t = m] − [c_t = m−1] over L(o_m) ∩ L(o_n), so
+/// under its owner's counter it lies in
+///   [−min(gain(o_m), gain(o_n)), min(loss(o_m), loss(o_n))],
+/// and every new influence lies in an interval read off the tables in
+/// O(1). Eq. 1's regret is non-increasing below the demand and
+/// non-decreasing from it, and RegretDelta is monotone in each term, so
+/// RegretDelta at the demand clamped into each interval is at most every
+/// delta that column can produce. CoarseRowBound does the same in O(1)
+/// per row over the hull of the columns' intervals, built from the
+/// columns' extreme gains and losses, so it never exceeds RowBound: a
+/// scan tries it first and skips exactly the rows RowBound alone would.
 class MoveScanTables {
  public:
   /// Starts the scan of advertiser `i`'s billboards (the rows) against
@@ -80,6 +95,14 @@ class MoveScanTables {
   const std::vector<model::BillboardId>& rows() const { return *rows_; }
   /// o_n candidates, S_j or the free pool.
   const std::vector<model::BillboardId>& cols() const { return *cols_; }
+
+  /// A lower bound on the delta of (rows()[x], o_n) over every column
+  /// o_n, from the tables alone: no walk, and no LoadRow needed.
+  double RowBound(size_t x) const;
+
+  /// A lower bound on RowBound(x) in O(1), from the extremes Start
+  /// gathered over the columns.
+  double CoarseRowBound(size_t x) const;
 
   /// Fills the table of row `x`; Delta then scores (rows()[x], o_n).
   void LoadRow(size_t x);
@@ -106,6 +129,17 @@ class MoveScanTables {
     int32_t partner = 0;
   };
 
+  /// Extremes of the columns' marginals over the scan, for
+  /// CoarseRowBound: i's gain and loss of o_n and (exchange) j's.
+  struct ColumnExtremes {
+    int64_t min_gain_i = std::numeric_limits<int64_t>::max();
+    int64_t max_gain_i = 0;
+    int64_t max_loss_i = 0;
+    int64_t min_loss_j = std::numeric_limits<int64_t>::max();
+    int64_t max_loss_j = 0;
+    int64_t max_gain_j = 0;
+  };
+
   const Assignment* s_ = nullptr;
   market::AdvertiserId i_ = market::kNoAdvertiser;
   market::AdvertiserId j_ = market::kNoAdvertiser;
@@ -117,6 +151,7 @@ class MoveScanTables {
   int64_t base_j_ = 0;    ///< I(S_j) (exchange)
   int64_t row_loss_ = 0;  ///< i's MarginalLoss of the row board
   int64_t row_gain_ = 0;  ///< j's MarginalGain of the row board
+  ColumnExtremes extremes_;
   std::vector<Correction> corr_;  ///< by billboard; zero off touched_
   /// Entries LoadRow may have made nonzero (repeats allowed).
   std::vector<model::BillboardId> touched_;
@@ -131,10 +166,10 @@ LocalSearchStats AdvertiserDrivenLocalSearch(Assignment* assignment,
 /// Algorithm 5 — Billboard-driven Local Search: fine-grained moves —
 /// (1) exchange two assigned billboards across advertisers, (2) replace an
 /// assigned billboard by an unassigned one, (3) release an assigned
-/// billboard, (4) allocate unassigned billboards via SynchronousGreedy —
-/// applied while they reduce total regret. Mutates `assignment` in place;
-/// never leaves it worse. `rng` drives candidate sampling when
-/// config.max_exchange_candidates > 0.
+/// billboard, (4) allocate unassigned billboards via SynchronousGreedy
+/// while some advertiser is unsatisfied — applied while they reduce total
+/// regret. Mutates `assignment` in place; never leaves it worse. `rng`
+/// drives candidate sampling when config.max_exchange_candidates > 0.
 LocalSearchStats BillboardDrivenLocalSearch(Assignment* assignment,
                                             const LocalSearchConfig& config,
                                             common::Rng* rng);

@@ -13,9 +13,11 @@
 
 namespace mroam::obs {
 
-/// Process-wide scoped-span tracer. Disabled by default: the only cost a
-/// span pays then is one relaxed atomic load (measured at well under a
-/// nanosecond on the bench fixture, DESIGN.md §6). Enabled either by the
+/// Process-wide scoped-span tracer. Disabled by default, but a span still
+/// mirrors into the always-on flight recorder: two clock reads and a ring
+/// write, ~100 ns on the bench fixture against ~1.4 ns (two relaxed
+/// loads) with MROAM_FLIGHT=0 (DESIGN.md §6). So put no span around work
+/// that costs less than about a microsecond. Enabled either by the
 /// MROAM_TRACE=<path> environment variable (spans are flushed to <path>
 /// as Chrome trace-event JSON at process exit — load the file in Perfetto
 /// or chrome://tracing) or programmatically via Enable().

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/greedy.h"
 #include "test_util.h"
 
@@ -261,13 +266,12 @@ TEST(FirstImprovementTest, ScanSurvivesMidSweepListMutation) {
   EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
 
-// The exhaustive scans of moves 1-2 score candidates from per-scan tables.
-// Every table delta must equal the per-candidate reference bit for bit —
-// EXPECT_EQ, not NEAR — on plain lists and on their compressed twin, at
-// impression thresholds 1-3, for every ordered advertiser pair and every
-// replace scan, with one tables object reused across all of them as BLS
-// does.
-TEST(MoveScanTablesTest, TableDeltasEqualTheReferenceBitForBit) {
+/// The MoveScanTables instances: random assignments of four advertisers,
+/// some boards left free, over a plain index and its compressed twin at
+/// impression thresholds 1-3. Calls visit(s, where) on each, `where`
+/// naming the instance for failure messages.
+template <typename Visit>
+void ForEachScanInstance(Visit&& visit) {
   for (uint64_t seed : {5u, 6u, 7u}) {
     common::Rng gen(seed);
     const int32_t num_billboards = 24;
@@ -293,36 +297,108 @@ TEST(MoveScanTablesTest, TableDeltasEqualTheReferenceBitForBit) {
           const uint64_t a = owners.UniformU64(6);  // 4, 5: stays free
           if (a < 4) s.Assign(o, static_cast<market::AdvertiserId>(a));
         }
-        MoveScanTables tables;
-        int64_t checked = 0;
-        for (market::AdvertiserId i = 0; i < s.num_advertisers(); ++i) {
-          for (market::AdvertiserId j = market::kNoAdvertiser;
-               j < s.num_advertisers(); ++j) {
-            if (j == i) continue;
-            tables.Start(s, i, j);
-            for (size_t x = 0; x < tables.rows().size(); ++x) {
-              tables.LoadRow(x);
-              for (size_t y = 0; y < tables.cols().size(); ++y) {
-                const model::BillboardId om = tables.rows()[x];
-                const model::BillboardId on = tables.cols()[y];
-                const double reference =
-                    j == market::kNoAdvertiser
-                        ? s.DeltaReplace(om, on)
-                        : s.DeltaExchangeAcross(om, on);
-                EXPECT_EQ(tables.Delta(y), reference)
-                    << "seed " << seed << " threshold " << threshold
-                    << (index == &plain ? " plain" : " compressed")
-                    << " i " << i << " j " << j << " om " << om << " on "
-                    << on;
-                ++checked;
-              }
-            }
-          }
-        }
-        EXPECT_GT(checked, 100) << "seed " << seed;
+        visit(s, "seed " + std::to_string(seed) + " threshold " +
+                     std::to_string(threshold) +
+                     (index == &plain ? " plain" : " compressed"));
       }
     }
   }
+}
+
+/// Every scan of moves 1-2 on `s`: each ordered advertiser pair (i, j)
+/// and each replace scan (i, kNoAdvertiser).
+std::vector<std::pair<market::AdvertiserId, market::AdvertiserId>> AllScans(
+    const Assignment& s) {
+  std::vector<std::pair<market::AdvertiserId, market::AdvertiserId>> scans;
+  for (market::AdvertiserId i = 0; i < s.num_advertisers(); ++i) {
+    for (market::AdvertiserId j = market::kNoAdvertiser;
+         j < s.num_advertisers(); ++j) {
+      if (j != i) scans.emplace_back(i, j);
+    }
+  }
+  return scans;
+}
+
+/// DeltaExchangeAcross or, for a replace scan, DeltaReplace.
+double ReferenceDelta(const Assignment& s, market::AdvertiserId j,
+                      model::BillboardId om, model::BillboardId on) {
+  return j == market::kNoAdvertiser ? s.DeltaReplace(om, on)
+                                    : s.DeltaExchangeAcross(om, on);
+}
+
+// The exhaustive scans of moves 1-2 score candidates from per-scan tables.
+// Every table delta must equal the per-candidate reference bit for bit —
+// EXPECT_EQ, not NEAR — on plain lists and on their compressed twin, at
+// impression thresholds 1-3, for every ordered advertiser pair and every
+// replace scan, with one tables object reused across all of them as BLS
+// does.
+TEST(MoveScanTablesTest, TableDeltasEqualTheReferenceBitForBit) {
+  ForEachScanInstance([](const Assignment& s, const std::string& where) {
+    MoveScanTables tables;
+    int64_t checked = 0;
+    for (const auto& [i, j] : AllScans(s)) {
+      tables.Start(s, i, j);
+      for (size_t x = 0; x < tables.rows().size(); ++x) {
+        tables.LoadRow(x);
+        for (size_t y = 0; y < tables.cols().size(); ++y) {
+          const model::BillboardId om = tables.rows()[x];
+          const model::BillboardId on = tables.cols()[y];
+          EXPECT_EQ(tables.Delta(y), ReferenceDelta(s, j, om, on))
+              << where << " i " << i << " j " << j << " om " << om
+              << " on " << on;
+          ++checked;
+        }
+      }
+    }
+    EXPECT_GT(checked, 100) << where;
+  });
+}
+
+// A scan skips the walk of every row whose RowBound fails the acceptance
+// test, so the bound must never exceed a delta of the row. For each row
+// the limits are the r = 0 acceptance limit, each column's own delta (the
+// delta == limit edge) and one value below them all; whenever some column
+// is at or under a limit, the bound must be too, keeping the row. The
+// scan tries CoarseRowBound first, which must never exceed RowBound, so
+// that it skips no row RowBound would keep. Both must skip rows, or the
+// scan saves nothing.
+TEST(MoveScanTablesTest, RowBoundKeepsEveryRowWithAnAcceptableColumn) {
+  constexpr double kLimitAtRZero = -1e-9;  // Accepts at r = 0
+  int64_t rows = 0;
+  int64_t skipped = 0;
+  int64_t coarse_skipped = 0;
+  ForEachScanInstance([&](const Assignment& s, const std::string& where) {
+    MoveScanTables tables;
+    for (const auto& [i, j] : AllScans(s)) {
+      tables.Start(s, i, j);
+      for (size_t x = 0; x < tables.rows().size(); ++x) {
+        const model::BillboardId om = tables.rows()[x];
+        std::vector<double> limits;
+        for (model::BillboardId on : tables.cols()) {
+          limits.push_back(ReferenceDelta(s, j, om, on));
+        }
+        if (limits.empty()) continue;
+        const double lowest = *std::min_element(limits.begin(), limits.end());
+        limits.push_back(kLimitAtRZero);
+        limits.push_back(lowest - 1.0);
+        const double bound = tables.RowBound(x);
+        for (double limit : limits) {
+          if (lowest <= limit) {
+            EXPECT_LE(bound, limit) << where << " i " << i << " j " << j
+                                    << " om " << om << " lowest " << lowest;
+          }
+        }
+        const double coarse = tables.CoarseRowBound(x);
+        EXPECT_LE(coarse, bound) << where << " i " << i << " j " << j
+                                 << " om " << om;
+        ++rows;
+        if (bound > kLimitAtRZero) ++skipped;
+        if (coarse > kLimitAtRZero) ++coarse_skipped;
+      }
+    }
+  });
+  EXPECT_GT(skipped, 0) << "of " << rows << " rows";
+  EXPECT_GT(coarse_skipped, 0) << "of " << rows << " rows";
 }
 
 TEST(BlsMovesTest, ReleaseMoveTrimsPureExcess) {

@@ -17,7 +17,8 @@ per-iteration work counters. Two --current schemas are accepted:
 
 The micro-benchmark counters are seeded and workload-deterministic —
 greedy.deltas counts the candidates the greedy selection rule scored,
-bls.deltas_evaluated the moves exhaustive BLS scored, the replan.* family
+bls.deltas_evaluated the moves exhaustive BLS scored and regret the Eq. 1
+regret of the plan it reached, the replan.* family
 measures the incremental replanner's churn response — so any increase
 beyond the tolerance means the algorithm got worse (e.g. the greedy
 scored a candidate twice, the blast radius exploded), not that the
