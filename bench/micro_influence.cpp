@@ -98,8 +98,9 @@ BENCHMARK(BM_MarginalGainAfterRemove);
 // it is the workload the >= 3x compression acceptance floor is anchored
 // to; the ratio holds for dense lists only. The city `mroam_serve --gen`
 // serves by default (400 billboards, 20,000 trajectories, lambda = 100m)
-// has ~27 postings per list and encodes at ~4.7 B per posting, more than
-// a flat int32.
+// has ~27 postings per list and encodes at ~3.6 B per posting over its
+// compacted universe of 8,102 covered trajectories, close to a flat
+// int32.
 influence::InfluenceIndex& DenseIndex() {
   static influence::InfluenceIndex* index = [] {
     return new influence::InfluenceIndex(
@@ -120,7 +121,7 @@ influence::InfluenceIndex& DenseIndex() {
 void BM_CompressedDecode(benchmark::State& state) {
   const influence::InfluenceIndex& index = DenseIndex();
   const cindex::CompressedPostings postings = cindex::CompressedPostings::Build(
-      index.covered(), index.num_trajectories());
+      index.covered(), index.num_covered());
   int64_t decoded = 0;
   for (auto _ : state) {
     int64_t sum = 0;
@@ -167,9 +168,11 @@ influence::InfluenceIndex& SmallCompressedIndex() {
     return new influence::InfluenceIndex(
         influence::InfluenceIndex::FromCompressed(
             cindex::CompressedPostings::Build(plain.covered(),
-                                              plain.num_trajectories()),
+                                              plain.num_covered()),
             cindex::CompressedPostings::Build(plain.covering(),
                                               plain.num_billboards()),
+            cindex::CompressedPostings::Build({plain.dataset_ids()},
+                                              plain.num_trajectories()),
             plain.lambda()));
   }();
   return *index;

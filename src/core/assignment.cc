@@ -263,7 +263,7 @@ common::Status Assignment::CheckInvariants() const {
 
   // Counters and regrets, against recounts from the incidence lists.
   const int m = impression_threshold_;
-  std::vector<int> counts(static_cast<size_t>(index_->num_trajectories()));
+  std::vector<int> counts(static_cast<size_t>(index_->num_covered()));
   double expected_total = 0.0;
   double scale = 1.0;  // bounds the magnitude of every partial sum
   for (int32_t a = 0; a < num_advertisers(); ++a) {

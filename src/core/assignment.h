@@ -35,7 +35,8 @@ class Assignment {
              RegretParams params, uint16_t impression_threshold = 1);
 
   // Copyable so local search can snapshot candidate plans (counters are
-  // deep-copied; cost is O(|A| * |T|)). Prefer move where possible.
+  // deep-copied: 1 B per covered trajectory plus 8 B per board, for each
+  // advertiser). Prefer move where possible.
   Assignment(const Assignment&) = default;
   Assignment& operator=(const Assignment&) = default;
   Assignment(Assignment&&) = default;

@@ -156,7 +156,7 @@ class DailyMarket {
 
   /// Snapshots the open book — day, ticket sequence, and every active
   /// contract with its deployment — into the portable form the snapshot
-  /// v2 writer persists (and a restarted server restores).
+  /// writer persists (and a restarted server restores).
   market::ContractBook ExportBook() const;
 
   /// Restores a previously exported book into this (fresh, never-advanced)

@@ -279,10 +279,11 @@ bool TryExchanges(Assignment* assignment,
 }
 
 /// BLS move 2: replace an assigned billboard of `i` by a free billboard.
+/// Like move 3, it opens no span of its own (its scan takes well under a
+/// microsecond at p50) and counts toward its `bls.sweep` (DESIGN.md §6).
 bool TryReplaceWithFree(Assignment* assignment, AdvertiserId i,
                         const LocalSearchConfig& config, common::Rng* rng,
                         MoveScanTables* tables, LocalSearchStats* stats) {
-  MROAM_TRACE_SPAN("bls.move.replace");
   const Pick pick = PickMove(*assignment, i, market::kNoAdvertiser, config,
                              rng, tables, stats);
   if (!pick.found()) return false;
@@ -295,7 +296,6 @@ bool TryReplaceWithFree(Assignment* assignment, AdvertiserId i,
 /// BLS move 3: release billboards of `i` whose removal reduces regret.
 bool TryReleases(Assignment* assignment, AdvertiserId i,
                  const LocalSearchConfig& config, LocalSearchStats* stats) {
-  MROAM_TRACE_SPAN("bls.move.release");
   // Copy: Release mutates the set we'd be iterating.
   std::vector<BillboardId> snapshot = assignment->BillboardsOf(i);
   bool any = false;

@@ -29,6 +29,34 @@ std::vector<Method> AllMethods() {
   return {Method::kGOrder, Method::kGGlobal, Method::kAls, Method::kBls};
 }
 
+namespace {
+
+/// Runs `config.method`. Only the greedies start from an empty plan; the
+/// local searches build and return their own, so none is built for them.
+Assignment RunMethod(const influence::InfluenceIndex& index,
+                     const std::vector<market::Advertiser>& advertisers,
+                     const SolverConfig& config, common::Rng* rng,
+                     LocalSearchStats* stats) {
+  if (config.method == Method::kGOrder || config.method == Method::kGGlobal) {
+    Assignment plan(&index, advertisers, config.regret,
+                    config.impression_threshold);
+    if (config.method == Method::kGOrder) {
+      BudgetEffectiveGreedy(&plan);
+    } else {
+      SynchronousGreedy(&plan);
+    }
+    return plan;
+  }
+  const SearchStrategy strategy = config.method == Method::kAls
+                                      ? SearchStrategy::kAdvertiserDriven
+                                      : SearchStrategy::kBillboardDriven;
+  return RandomizedLocalSearch(index, advertisers, config.regret, strategy,
+                               config.local_search, rng, stats,
+                               config.impression_threshold);
+}
+
+}  // namespace
+
 SolveResult Solve(const influence::InfluenceIndex& index,
                   const std::vector<market::Advertiser>& advertisers,
                   const SolverConfig& config) {
@@ -38,28 +66,8 @@ SolveResult Solve(const influence::InfluenceIndex& index,
   common::Rng rng(config.seed);
   SolveResult result;
 
-  Assignment assignment(&index, advertisers, config.regret,
-                        config.impression_threshold);
-  switch (config.method) {
-    case Method::kGOrder:
-      BudgetEffectiveGreedy(&assignment);
-      break;
-    case Method::kGGlobal:
-      SynchronousGreedy(&assignment);
-      break;
-    case Method::kAls:
-      assignment = RandomizedLocalSearch(
-          index, advertisers, config.regret,
-          SearchStrategy::kAdvertiserDriven, config.local_search, &rng,
-          &result.search_stats, config.impression_threshold);
-      break;
-    case Method::kBls:
-      assignment = RandomizedLocalSearch(
-          index, advertisers, config.regret, SearchStrategy::kBillboardDriven,
-          config.local_search, &rng, &result.search_stats,
-          config.impression_threshold);
-      break;
-  }
+  const Assignment assignment =
+      RunMethod(index, advertisers, config, &rng, &result.search_stats);
 
   result.seconds = watch.ElapsedSeconds();
   result.breakdown = assignment.Breakdown();

@@ -22,16 +22,15 @@ int64_t CoverageCounter::MarginalGainAfterRemove(model::BillboardId add,
   // rem's list is unsorted; InfluenceIndex guarantees sortedness at
   // build time and this guards the precondition in debug builds.
   MROAM_DCHECK(std::is_sorted(rem_list->begin(), rem_list->end()));
-  const uint16_t at_gain = threshold_ - 1;
+  const int at_gain = threshold_ - 1;
   int64_t gain = 0;
   size_t ri = 0;
   index_->ForEachCovered(add, [&](model::TrajectoryId t) {
-    const uint16_t count = counts_[t];
+    const int count = counts_[t];
     if (count != at_gain && count != threshold_) return;
     while (ri < rem_list->size() && (*rem_list)[ri] < t) ++ri;
     const bool rem_covers = ri < rem_list->size() && (*rem_list)[ri] == t;
-    if (static_cast<int>(count) - (rem_covers ? 1 : 0) ==
-        static_cast<int>(at_gain)) {
+    if (count - (rem_covers ? 1 : 0) == at_gain) {
       ++gain;
     }
   });

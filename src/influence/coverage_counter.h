@@ -13,7 +13,9 @@ namespace mroam::influence {
 /// Incrementally maintains I(S) for one billboard set S under the meet
 /// model: a per-trajectory count of how many billboards of S cover it,
 /// plus the number of trajectories whose count reaches the impression
-/// threshold.
+/// threshold. The counts cover the index's compacted universe (the
+/// trajectories some board covers) at one byte each, which the index's
+/// kMaxCoveringBoards bound keeps from overflowing.
 ///
 /// With the default threshold of 1 this is the paper's influence measure
 /// (per-pair influence is 0/1 and the noisy-or collapses to set-union).
@@ -28,21 +30,22 @@ namespace mroam::influence {
 ///   gain[o] = #{t ∈ L(o) : c_t = m−1},  loss[o] = #{t ∈ L(o) : c_t = m},
 /// so MarginalGain and MarginalLoss are O(1) reads. Add/Remove walk
 /// L(o) and, for each t whose count enters or leaves m−1 or m, the boards
-/// covering t. The tables cost 8 B per board of the index.
+/// covering t. A counter costs 1 B per covered trajectory plus 8 B per
+/// board of the index.
 ///
 /// The counter walks whichever representation its index holds (plain
 /// vectors or compressed blobs) through the index's ForEachCovered /
 /// ForEachCovering dispatchers; the arithmetic is the same either way.
 class CoverageCounter {
  public:
-  /// Creates an empty counter over `index`'s trajectory universe with the
-  /// given impression threshold (>= 1). The index must outlive the
-  /// counter.
+  /// Creates an empty counter over `index`'s trajectory universe (its
+  /// num_covered() trajectories) with the given impression threshold
+  /// (>= 1). The index must outlive the counter.
   explicit CoverageCounter(const InfluenceIndex* index,
                            uint16_t impression_threshold = 1)
       : index_(index),
         threshold_(impression_threshold),
-        counts_(static_cast<size_t>(index->num_trajectories()), 0),
+        counts_(static_cast<size_t>(index->num_covered()), 0),
         gain_(static_cast<size_t>(index->num_billboards())),
         loss_(static_cast<size_t>(index->num_billboards())) {
     MROAM_CHECK(impression_threshold >= 1);
@@ -54,7 +57,7 @@ class CoverageCounter {
   /// membership).
   void Add(model::BillboardId o) {
     index_->ForEachCovered(o, [this](model::TrajectoryId t) {
-      MROAM_DCHECK(counts_[t] < UINT16_MAX);
+      MROAM_DCHECK(counts_[t] < kMaxCoveringBoards);
       const int c = counts_[t]++;
       if (c + 1 == threshold_) ++influence_;
       Retally(t, c, c + 1);
@@ -127,7 +130,11 @@ class CoverageCounter {
   }
 
   /// Number of billboards of S covering trajectory `t`.
-  uint16_t CountOf(model::TrajectoryId t) const { return counts_[t]; }
+  int CountOf(model::TrajectoryId t) const { return counts_[t]; }
+
+  /// Trajectories this counter holds a count for: its index's
+  /// num_covered().
+  int32_t universe() const { return static_cast<int32_t>(counts_.size()); }
 
   /// Current I(S).
   int64_t influence() const { return influence_; }
@@ -147,7 +154,7 @@ class CoverageCounter {
  private:
   /// Trajectory `t`'s term in ForEachRemoveShift: [c_t = m] − [c_t = m−1].
   int RemoveShift(model::TrajectoryId t) const {
-    const uint16_t c = CountOf(t);
+    const int c = CountOf(t);
     return (c == threshold_ ? 1 : 0) - (c + 1 == threshold_ ? 1 : 0);
   }
 
@@ -177,7 +184,7 @@ class CoverageCounter {
 
   const InfluenceIndex* index_;
   uint16_t threshold_;
-  std::vector<uint16_t> counts_;  ///< c_t, by trajectory
+  std::vector<uint8_t> counts_;  ///< c_t, by compacted trajectory
   int64_t influence_ = 0;
   std::vector<int32_t> gain_;  ///< by billboard
   std::vector<int32_t> loss_;  ///< by billboard

@@ -11,6 +11,11 @@
 
 namespace mroam::influence {
 
+/// The most boards that may cover one trajectory: a CoverageCounter spends
+/// one byte on each count. Every path that makes an index rejects an
+/// incidence above it.
+inline constexpr int kMaxCoveringBoards = UINT8_MAX;
+
 /// Precomputed billboard -> trajectory incidence under the paper's meet
 /// model: billboard o influences trajectory t iff some point of t lies
 /// within `lambda` meters of o's location (§7.1.2). Built once per
@@ -22,12 +27,20 @@ namespace mroam::influence {
 /// the lists of S's billboards — which CoverageCounter maintains
 /// incrementally.
 ///
-/// An index holds exactly one representation of both directions, fixed
-/// by how it was made: plain vector lists from Build, FromIncidence and
-/// the decoded snapshot load, or block-compressed blobs (src/cindex) from
-/// FromCompressed — typically borrowed from an mmapped snapshot. On a
-/// compressed index CoveredBy/CoveringOf are unavailable and callers go
-/// through the ForEachCovered/ForEachCovering dispatchers.
+/// I(S) depends only on the trajectories some board meets, so the index's
+/// trajectory universe is those covered trajectories alone, renumbered
+/// 0..num_covered()-1 in their original order: every list and every
+/// counter speaks these ids, and the index keeps the ascending dataset id
+/// of each (dataset_ids, ForEachDatasetId) for the callers that map back.
+/// num_trajectories() stays the dataset's |T|, which reports divide by.
+///
+/// An index holds exactly one representation of both directions and of
+/// the dataset ids, fixed by how it was made: plain vectors from Build,
+/// FromIncidence and FromCompactedIncidence (the decoded snapshot load),
+/// or block-compressed blobs (src/cindex) from FromCompressed — typically
+/// borrowed from an mmapped snapshot. On a compressed index
+/// CoveredBy/CoveringOf/dataset_ids are unavailable and callers go
+/// through the ForEach* dispatchers.
 class InfluenceIndex {
  public:
   /// An empty index (no billboards, no trajectories). Useful as a member
@@ -36,32 +49,49 @@ class InfluenceIndex {
 
   /// Builds the incidence lists by radius queries against a uniform grid
   /// over billboard locations. O(total trajectory points x candidates).
+  /// CHECK-fails on a trajectory within `lambda` of more than
+  /// kMaxCoveringBoards boards.
   static InfluenceIndex Build(const model::Dataset& dataset, double lambda);
 
-  /// Builds an index directly from precomputed incidence lists (used by
-  /// the temporal time-slot extension and by tests). Each list must be
+  /// Builds an index directly from precomputed incidence lists over
+  /// dataset ids (used by the temporal time-slot extension and by tests)
+  /// and compacts them to the covered trajectories. Each list must be
   /// sorted, duplicate-free, and reference trajectory ids in
-  /// [0, num_trajectories). `lambda` is carried for reporting only.
+  /// [0, num_trajectories); no trajectory may appear in more than
+  /// kMaxCoveringBoards lists. `lambda` is carried for reporting only.
   static InfluenceIndex FromIncidence(
       std::vector<std::vector<model::TrajectoryId>> covered,
       int32_t num_trajectories, double lambda);
 
+  /// Builds an index from lists that are already compacted (the decoded
+  /// snapshot's form): `covered` references positions in `dataset_ids`,
+  /// the strictly ascending dataset ids in [0, num_trajectories) of the
+  /// covered trajectories. Each list must be sorted and duplicate-free,
+  /// and every position must appear in 1..kMaxCoveringBoards lists.
+  static InfluenceIndex FromCompactedIncidence(
+      std::vector<std::vector<model::TrajectoryId>> covered,
+      std::vector<model::TrajectoryId> dataset_ids, int32_t num_trajectories,
+      double lambda);
+
   /// Builds a plain-list-free index over compressed blobs (typically
   /// borrowed views into an mmapped snapshot — the caller keeps the
-  /// mapping alive). `covered` maps billboards -> trajectories and
-  /// `covering` the reverse; the two must describe the same incidence
-  /// (universe/list counts and totals are CHECKed, content equality is
-  /// the snapshot writer's contract).
+  /// mapping alive). `covered` maps billboards -> compacted trajectories,
+  /// `covering` the reverse, and `dataset_ids` holds one list: the
+  /// ascending dataset ids of the compacted trajectories, over the
+  /// dataset's universe. Shapes and totals are CHECKed; content equality
+  /// of the two directions and the 1..kMaxCoveringBoards covering counts
+  /// are the snapshot writer's contract, which both loaders verify.
   static InfluenceIndex FromCompressed(cindex::CompressedPostings covered,
                                        cindex::CompressedPostings covering,
+                                       cindex::CompressedPostings dataset_ids,
                                        double lambda);
 
   /// Whether the index holds plain vector lists (false exactly for
   /// FromCompressed indexes, which hold compressed blobs instead).
   bool has_plain() const { return has_plain_; }
 
-  /// Trajectories influenced by billboard `o`, sorted ascending.
-  /// Requires has_plain().
+  /// Trajectories influenced by billboard `o` (compacted ids), sorted
+  /// ascending. Requires has_plain().
   const std::vector<model::TrajectoryId>& CoveredBy(
       model::BillboardId o) const {
     MROAM_DCHECK(has_plain_);
@@ -103,7 +133,8 @@ class InfluenceIndex {
     }
   }
 
-  /// The full reverse index, aligned with trajectory ids (snapshot IO).
+  /// The full reverse index, aligned with compacted trajectory ids
+  /// (snapshot IO).
   /// Requires has_plain().
   const std::vector<std::vector<model::BillboardId>>& covering() const {
     MROAM_DCHECK(has_plain_);
@@ -123,6 +154,26 @@ class InfluenceIndex {
     return covered_c_;
   }
 
+  /// The dataset id of every trajectory of the universe, ascending:
+  /// dataset_ids()[t] is the dataset id of compacted trajectory t.
+  /// Requires has_plain().
+  const std::vector<model::TrajectoryId>& dataset_ids() const {
+    MROAM_DCHECK(has_plain_);
+    return dataset_ids_;
+  }
+
+  /// Calls fn(TrajectoryId) with the dataset id of each trajectory of the
+  /// universe, in compacted-id order (representation-agnostic
+  /// dataset_ids).
+  template <typename Fn>
+  void ForEachDatasetId(Fn&& fn) const {
+    if (has_plain_) {
+      for (model::TrajectoryId t : dataset_ids_) fn(t);
+    } else {
+      dataset_ids_c_.ForEach(0, fn);
+    }
+  }
+
   /// I({o}) — the number of trajectories billboard `o` influences.
   int64_t InfluenceOf(model::BillboardId o) const {
     return has_plain_ ? static_cast<int64_t>(covered_[o].size())
@@ -133,7 +184,12 @@ class InfluenceIndex {
   int64_t TotalSupply() const { return total_supply_; }
 
   int32_t num_billboards() const { return num_billboards_; }
+  /// The dataset's |T|, covered or not (the denominator of coverage
+  /// ratios).
   int32_t num_trajectories() const { return num_trajectories_; }
+  /// Trajectories at least one board covers: the universe every list and
+  /// every counter indexes, [0, num_covered()).
+  int32_t num_covered() const { return num_covered_; }
   double lambda() const { return lambda_; }
 
   /// Exact I(S) for an arbitrary billboard set, by one-off union counting.
@@ -141,22 +197,25 @@ class InfluenceIndex {
   int64_t InfluenceOfSet(const std::vector<model::BillboardId>& set) const;
 
  private:
-  /// Derives covering_ from covered_ (called by Build/FromIncidence once
-  /// the forward lists are final).
+  /// Derives covering_ from covered_ (called by FromCompactedIncidence
+  /// once the forward lists are final).
   void BuildReverseIndex();
 
   double lambda_ = 0.0;
   int32_t num_billboards_ = 0;
   int32_t num_trajectories_ = 0;
+  int32_t num_covered_ = 0;
   int64_t total_supply_ = 0;
   bool has_plain_ = true;
   std::vector<std::vector<model::TrajectoryId>> covered_;
   /// Reverse incidence: covering_[t] lists the billboards whose covered_
-  /// list contains t, ascending. Always sized num_trajectories_.
+  /// list contains t, ascending. Always sized num_covered_.
   std::vector<std::vector<model::BillboardId>> covering_;
+  std::vector<model::TrajectoryId> dataset_ids_;
   /// The compressed representation (FromCompressed indexes only).
   cindex::CompressedPostings covered_c_;
   cindex::CompressedPostings covering_c_;
+  cindex::CompressedPostings dataset_ids_c_;
 };
 
 /// Reference implementation of the meet model by exhaustive distance

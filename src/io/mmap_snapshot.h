@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "influence/influence_index.h"
+#include "io/snapshot_wire.h"
 #include "market/contract_book.h"
 
 namespace mroam::io {
@@ -14,12 +15,13 @@ namespace mroam::io {
 // Zero-copy snapshot serving (docs/snapshot_format.md).
 //
 // MappedSnapshot mmaps a snapshot and builds an InfluenceIndex whose
-// compressed postings BORROW the mapped bytes in place — no decoded
-// incidence copy is ever materialized, so cold start is page faults plus
-// one CRC pass, not a parse, and resident memory stays bounded by the
-// file. The index has no plain lists (InfluenceIndex::has_plain() is
-// false); every consumer dispatches through the compressed read path,
-// which CoverageCounter engages automatically.
+// compressed postings and covered-id list BORROW the mapped bytes in
+// place — no decoded incidence copy is ever materialized, so cold start
+// is page faults plus one CRC pass, not a parse, and resident memory
+// stays bounded by the file. The index has no plain lists
+// (InfluenceIndex::has_plain() is false); every consumer dispatches
+// through the compressed read path, which CoverageCounter engages
+// automatically. ResaveIndexSnapshot (snapshot_io.h) saves its book.
 //
 // The mapping lives exactly as long as the MappedSnapshot: keep it alive
 // for the whole serving lifetime of index(). Move-only.
@@ -29,17 +31,15 @@ class MappedSnapshot {
  public:
   /// Maps `path` read-only and validates it as a snapshot: magic,
   /// version (anything but kSnapshotVersion is kInvalidArgument),
-  /// framing with 64-byte payload alignment, per-section CRC, and the
-  /// full structural validation of both compressed blobs. The
+  /// framing with 64-byte payload alignment, per-section CRC, the full
+  /// structural validation of the three postings blobs and the shape
+  /// checks both boots share (wire::BorrowIndexSections). The
   /// "io.mmap_map" fault point turns a good file into a typed kIoError
   /// (chaos hook for mroam_serve's exit-status-3 path).
   static common::Result<MappedSnapshot> Map(const std::string& path);
 
-  MappedSnapshot(MappedSnapshot&& other) noexcept;
-  MappedSnapshot& operator=(MappedSnapshot&& other) noexcept;
-  MappedSnapshot(const MappedSnapshot&) = delete;
-  MappedSnapshot& operator=(const MappedSnapshot&) = delete;
-  ~MappedSnapshot();
+  MappedSnapshot(MappedSnapshot&&) = default;
+  MappedSnapshot& operator=(MappedSnapshot&&) = default;
 
   /// The borrowed-postings index (has_plain() == false). Valid while this
   /// MappedSnapshot is alive.
@@ -50,14 +50,13 @@ class MappedSnapshot {
   const market::ContractBook& book() const { return book_; }
 
   /// Size of the mapped file in bytes.
-  size_t file_bytes() const { return len_; }
+  size_t file_bytes() const { return file_.data().size(); }
 
  private:
   MappedSnapshot() = default;
-  void Unmap();
 
-  void* map_ = nullptr;
-  size_t len_ = 0;
+  // Declared first so it is destroyed last: index_ borrows its bytes.
+  wire::MappedFile file_;
   influence::InfluenceIndex index_;
   market::ContractBook book_;
 };

@@ -1,12 +1,17 @@
 #include "io/snapshot_io.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -29,6 +34,68 @@ using wire::PutU64;
 
 namespace wire {
 
+Result<MappedFile> MappedFile::Open(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) {
+      return Status::NotFound("snapshot not found: " + path);
+    }
+    return Status::IoError("cannot open snapshot " + path + ": " +
+                           std::strerror(errno));
+  }
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::IoError("cannot stat snapshot " + path + ": " +
+                           std::strerror(err));
+  }
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::InvalidArgument("snapshot is not a regular file: " +
+                                   path);
+  }
+  const size_t len = static_cast<size_t>(st.st_size);
+  if (len < kSnapshotFileHeaderBytes) {
+    ::close(fd);
+    return Status::DataLoss("snapshot truncated in file header at offset 0");
+  }
+  void* map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+  const int err = errno;
+  ::close(fd);  // the mapping keeps its own reference
+  if (map == MAP_FAILED) {
+    return Status::IoError("cannot mmap snapshot " + path + ": " +
+                           std::strerror(err));
+  }
+  MappedFile file;
+  file.map_ = map;
+  file.len_ = len;
+  return file;
+}
+
+MappedFile::MappedFile(MappedFile&& other) noexcept
+    : map_(std::exchange(other.map_, nullptr)),
+      len_(std::exchange(other.len_, 0)) {}
+
+MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
+  if (this != &other) {
+    Unmap();
+    map_ = std::exchange(other.map_, nullptr);
+    len_ = std::exchange(other.len_, 0);
+  }
+  return *this;
+}
+
+MappedFile::~MappedFile() { Unmap(); }
+
+void MappedFile::Unmap() {
+  if (map_ != nullptr) {
+    ::munmap(map_, len_);
+    map_ = nullptr;
+    len_ = 0;
+  }
+}
+
 namespace {
 
 /// Whether `id` names a section of the current format. The reserved ids
@@ -42,6 +109,7 @@ bool KnownSection(uint32_t id) {
     case SnapshotSection::kCompressedIncidence:
     case SnapshotSection::kCompressedCovering:
     case SnapshotSection::kContractBook:
+    case SnapshotSection::kCoveredIds:
       return true;
   }
   return false;
@@ -67,11 +135,11 @@ Result<SectionTableV2> WalkSnapshot(std::string_view data,
   }
 
   constexpr uint32_t kMaxSectionId =
-      static_cast<uint32_t>(SnapshotSection::kContractBook);
+      static_cast<uint32_t>(SnapshotSection::kCoveredIds);
   SectionTableV2 table;
   table.payloads.resize(kMaxSectionId + 1);
   table.seen.assign(kMaxSectionId + 1, false);
-  Cursor cur(data, "v2 section chain");
+  Cursor cur(data, "section chain");
   MROAM_RETURN_IF_ERROR(cur.Skip(kSnapshotFileHeaderBytes));
   bool ended = false;
   while (!ended) {
@@ -131,6 +199,90 @@ Result<SectionTableV2> WalkSnapshot(std::string_view data,
   return table;
 }
 
+Result<IndexSections> BorrowIndexSections(const SectionTableV2& table) {
+  for (SnapshotSection required :
+       {SnapshotSection::kMeta, SnapshotSection::kCompressedIncidence,
+        SnapshotSection::kCompressedCovering, SnapshotSection::kCoveredIds}) {
+    if (!table.seen[static_cast<uint32_t>(required)]) {
+      return Status::DataLoss(
+          "snapshot is missing section id " +
+          std::to_string(static_cast<uint32_t>(required)));
+    }
+  }
+  auto payload = [&table](SnapshotSection id) {
+    return table.payloads[static_cast<uint32_t>(id)];
+  };
+  IndexSections sections;
+  MROAM_ASSIGN_OR_RETURN(sections.meta,
+                         DecodeMeta(payload(SnapshotSection::kMeta)));
+  MROAM_ASSIGN_OR_RETURN(
+      sections.covered,
+      cindex::CompressedPostings::FromBytes(
+          payload(SnapshotSection::kCompressedIncidence),
+          cindex::Ownership::kBorrow));
+  MROAM_ASSIGN_OR_RETURN(
+      sections.covering,
+      cindex::CompressedPostings::FromBytes(
+          payload(SnapshotSection::kCompressedCovering),
+          cindex::Ownership::kBorrow));
+  MROAM_ASSIGN_OR_RETURN(
+      sections.dataset_ids,
+      cindex::CompressedPostings::FromBytes(
+          payload(SnapshotSection::kCoveredIds), cindex::Ownership::kBorrow));
+
+  const MetaSection& meta = sections.meta;
+  const cindex::CompressedPostings& covered = sections.covered;
+  const cindex::CompressedPostings& covering = sections.covering;
+  const cindex::CompressedPostings& ids = sections.dataset_ids;
+  if (covered.num_lists() != meta.num_billboards) {
+    return Status::DataLoss(
+        "snapshot compressed incidence shape disagrees with meta section");
+  }
+  if (covering.num_lists() != static_cast<uint32_t>(covered.universe()) ||
+      covering.universe() != static_cast<int32_t>(covered.num_lists()) ||
+      covering.total_count() != covered.total_count()) {
+    return Status::DataLoss(
+        "snapshot covering lists are not the incidence's transpose in "
+        "shape");
+  }
+  if (ids.num_lists() != 1 ||
+      ids.universe() != static_cast<int32_t>(meta.num_trajectories) ||
+      ids.ListSize(0) != static_cast<uint32_t>(covered.universe())) {
+    return Status::DataLoss(
+        "snapshot covered-id list does not name the " +
+        std::to_string(covered.universe()) + " covered trajectories of " +
+        std::to_string(meta.num_trajectories));
+  }
+  // Counters keep one byte per trajectory, so the file must not cover one
+  // more often than that holds — and a trajectory no board covers has no
+  // place in the compacted universe.
+  std::vector<uint8_t> boards(static_cast<size_t>(covered.universe()), 0);
+  int64_t overflow = -1;
+  for (uint32_t o = 0; o < covered.num_lists(); ++o) {
+    covered.ForEach(static_cast<int32_t>(o), [&](int32_t t) {
+      uint8_t& count = boards[static_cast<size_t>(t)];
+      if (count == influence::kMaxCoveringBoards) {
+        overflow = t;
+      } else {
+        ++count;
+      }
+    });
+  }
+  if (overflow >= 0) {
+    return Status::DataLoss(
+        "snapshot trajectory " + std::to_string(overflow) +
+        " (compacted) is covered by more than " +
+        std::to_string(influence::kMaxCoveringBoards) + " boards");
+  }
+  for (size_t t = 0; t < boards.size(); ++t) {
+    if (boards[t] == 0) {
+      return Status::DataLoss("snapshot trajectory " + std::to_string(t) +
+                              " (compacted) is covered by no board");
+    }
+  }
+  return sections;
+}
+
 }  // namespace wire
 
 namespace {
@@ -179,7 +331,7 @@ std::string EncodeTrajectories(const model::Dataset& dataset) {
 cindex::CompressedPostings EncodeCovered(
     const influence::InfluenceIndex& index) {
   return cindex::CompressedPostings::Build(index.covered(),
-                                           index.num_trajectories());
+                                           index.num_covered());
 }
 
 cindex::CompressedPostings EncodeCovering(
@@ -188,8 +340,15 @@ cindex::CompressedPostings EncodeCovering(
                                            index.num_billboards());
 }
 
-/// v2 framing: 16-byte header, then zero padding placing the payload on a
-/// 64-byte file offset, then the payload and its CRC.
+/// The covered trajectories' dataset ids, as one list over the dataset.
+cindex::CompressedPostings EncodeDatasetIds(
+    const influence::InfluenceIndex& index) {
+  return cindex::CompressedPostings::Build({index.dataset_ids()},
+                                           index.num_trajectories());
+}
+
+/// Section framing: 16-byte header, then zero padding placing the payload
+/// on a 64-byte file offset, then the payload and its CRC.
 void AppendSectionV2(std::string* file, SnapshotSection id,
                      std::string_view payload) {
   const size_t header_end = file->size() + kSnapshotSectionHeaderBytesV2;
@@ -204,40 +363,41 @@ void AppendSectionV2(std::string* file, SnapshotSection id,
   PutU32(file, common::Crc32(payload));
 }
 
-// --- Section payload decoders ----------------------------------------------
+// --- Section payload checks ------------------------------------------------
 
-Result<std::vector<model::Billboard>> DecodeBillboards(
-    std::string_view payload) {
+/// Walks the billboards section without keeping it: the count must match
+/// the meta section and every record must be present.
+Status CheckBillboards(std::string_view payload, uint32_t expected) {
   Cursor cur(payload, "billboards section");
   MROAM_ASSIGN_OR_RETURN(uint32_t count, cur.GetU32());
-  std::vector<model::Billboard> billboards(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    billboards[i].id = static_cast<model::BillboardId>(i);
-    MROAM_ASSIGN_OR_RETURN(billboards[i].location.x, cur.GetF64());
-    MROAM_ASSIGN_OR_RETURN(billboards[i].location.y, cur.GetF64());
-    MROAM_ASSIGN_OR_RETURN(billboards[i].cost, cur.GetF64());
+  if (count != expected) {
+    return Status::DataLoss(
+        "snapshot entity counts disagree with meta section");
   }
-  return billboards;
+  // x, y and cost: three doubles per billboard.
+  return cur.Skip(size_t{count} * 24);
 }
 
-Result<std::vector<model::Trajectory>> DecodeTrajectories(
-    std::string_view payload) {
+/// Walks the trajectories section without keeping a point: the count must
+/// match the meta section, and every trajectory must carry its timing and
+/// at least one point.
+Status CheckTrajectories(std::string_view payload, uint32_t expected) {
   Cursor cur(payload, "trajectories section");
   MROAM_ASSIGN_OR_RETURN(uint32_t count, cur.GetU32());
-  std::vector<model::Trajectory> trajectories(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    model::Trajectory& t = trajectories[i];
-    t.id = static_cast<model::TrajectoryId>(i);
-    MROAM_ASSIGN_OR_RETURN(t.start_time_seconds, cur.GetF64());
-    MROAM_ASSIGN_OR_RETURN(t.travel_time_seconds, cur.GetF64());
-    MROAM_ASSIGN_OR_RETURN(uint32_t npoints, cur.GetU32());
-    t.points.resize(npoints);
-    for (uint32_t k = 0; k < npoints; ++k) {
-      MROAM_ASSIGN_OR_RETURN(t.points[k].x, cur.GetF64());
-      MROAM_ASSIGN_OR_RETURN(t.points[k].y, cur.GetF64());
-    }
+  if (count != expected) {
+    return Status::DataLoss(
+        "snapshot entity counts disagree with meta section");
   }
-  return trajectories;
+  for (uint32_t i = 0; i < count; ++i) {
+    MROAM_RETURN_IF_ERROR(cur.Skip(16));  // start and travel time
+    MROAM_ASSIGN_OR_RETURN(uint32_t npoints, cur.GetU32());
+    if (npoints == 0) {
+      return Status::DataLoss("snapshot dataset invalid: trajectory " +
+                              std::to_string(i) + " has no points");
+    }
+    MROAM_RETURN_IF_ERROR(cur.Skip(size_t{npoints} * 16));  // x, y
+  }
+  return Status::Ok();
 }
 
 // --- Save ------------------------------------------------------------------
@@ -247,7 +407,7 @@ Status ValidateForSave(const model::Dataset& dataset,
   if (!index.has_plain()) {
     return Status::InvalidArgument(
         "refusing to snapshot a compressed index: the writer encodes from "
-        "plain lists (boot from the snapshot without mmap to re-save)");
+        "plain lists (ResaveIndexSnapshot re-saves a snapshot boot)");
   }
   if (dataset.billboards.empty() || dataset.trajectories.empty()) {
     return Status::InvalidArgument(
@@ -342,12 +502,14 @@ Status SaveIndexSnapshot(const std::string& path,
   // The compressed blobs' owned layout IS the wire layout: the payloads
   // below are byte-identical to what MappedSnapshot later borrows in
   // place, and to what the loader re-encodes for its integrity check.
-  const cindex::CompressedPostings covered = EncodeCovered(index);
-  const cindex::CompressedPostings covering = EncodeCovering(index);
+  // The book goes last, after every section ResaveIndexSnapshot copies,
+  // so a re-save with the same book reproduces the file byte for byte.
   AppendSectionV2(&file, SnapshotSection::kCompressedIncidence,
-                  covered.bytes());
+                  EncodeCovered(index).bytes());
   AppendSectionV2(&file, SnapshotSection::kCompressedCovering,
-                  covering.bytes());
+                  EncodeCovering(index).bytes());
+  AppendSectionV2(&file, SnapshotSection::kCoveredIds,
+                  EncodeDatasetIds(index).bytes());
   AppendSectionV2(&file, SnapshotSection::kContractBook,
                   wire::EncodeBook(book));
   AppendSectionV2(&file, SnapshotSection::kEnd, "");
@@ -361,99 +523,105 @@ Status SaveIndexSnapshot(const std::string& path,
   return Status::Ok();
 }
 
-namespace {
-
-/// Decodes the dataset sections, validates them, and cross-checks them
-/// against the meta counts.
-Result<IndexSnapshot> DecodeDataset(const wire::MetaSection& meta,
-                                    std::string_view billboards_payload,
-                                    std::string_view trajectories_payload) {
-  IndexSnapshot snapshot;
-  snapshot.dataset.name = meta.name;
-  MROAM_ASSIGN_OR_RETURN(snapshot.dataset.billboards,
-                         DecodeBillboards(billboards_payload));
-  MROAM_ASSIGN_OR_RETURN(snapshot.dataset.trajectories,
-                         DecodeTrajectories(trajectories_payload));
-  if (snapshot.dataset.billboards.size() != meta.num_billboards ||
-      snapshot.dataset.trajectories.size() != meta.num_trajectories) {
-    return Status::DataLoss(
-        "snapshot entity counts disagree with meta section");
+Status ResaveIndexSnapshot(const std::string& source,
+                           const std::string& path,
+                           const influence::InfluenceIndex& index,
+                           const market::ContractBook& book) {
+  MROAM_TRACE_SPAN("io.snapshot_save");
+  common::Stopwatch watch;
+  std::string file;
+  {
+    MROAM_ASSIGN_OR_RETURN(wire::MappedFile mapped,
+                           wire::MappedFile::Open(source));
+    MROAM_ASSIGN_OR_RETURN(wire::SectionTableV2 table,
+                           wire::WalkSnapshot(mapped.data(), source));
+    constexpr auto kIncidence =
+        static_cast<uint32_t>(SnapshotSection::kCompressedIncidence);
+    const std::string_view incidence = table.payloads[kIncidence];
+    const bool holds_index =
+        table.seen[kIncidence] &&
+        (index.has_plain() ? EncodeCovered(index).bytes() == incidence
+                           : index.compressed_covered().bytes() == incidence);
+    if (!holds_index) {
+      return Status::FailedPrecondition(
+          "refusing to re-save " + source +
+          ": its incidence is not the served index's");
+    }
+    file.reserve(mapped.data().size());
+    file.append(kSnapshotMagic, sizeof(kSnapshotMagic));
+    PutU32(&file, kSnapshotVersion);
+    // Every section but the book and the end marker, in id order: the
+    // order SaveIndexSnapshot writes them in, so the copies land at their
+    // original offsets.
+    for (uint32_t id = 1; id < table.payloads.size(); ++id) {
+      if (!table.seen[id] ||
+          id == static_cast<uint32_t>(SnapshotSection::kContractBook)) {
+        continue;
+      }
+      AppendSectionV2(&file, static_cast<SnapshotSection>(id),
+                      table.payloads[id]);
+    }
   }
-  std::string problem = model::ValidateDataset(snapshot.dataset);
-  if (!problem.empty()) {
-    return Status::DataLoss("snapshot dataset invalid: " + problem);
-  }
-  return snapshot;
+  AppendSectionV2(&file, SnapshotSection::kContractBook,
+                  wire::EncodeBook(book));
+  AppendSectionV2(&file, SnapshotSection::kEnd, "");
+  MROAM_RETURN_IF_ERROR(WriteFileAtomic(path, file));
+  MROAM_COUNTER_ADD("io.snapshot_saves", 1);
+  MROAM_HISTOGRAM_OBSERVE("io.snapshot_save_seconds", watch.ElapsedSeconds());
+  MROAM_LOG(Info) << "snapshot (v" << kSnapshotVersion << ") re-saved from "
+                  << source << " to " << path << " (" << file.size()
+                  << " bytes, " << book.entries.size() << " contracts)";
+  return Status::Ok();
 }
+
+namespace {
 
 Result<IndexSnapshot> DecodeSnapshot(std::string_view data,
                                      const std::string& path) {
   MROAM_ASSIGN_OR_RETURN(wire::SectionTableV2 table,
                          wire::WalkSnapshot(data, path));
   for (SnapshotSection required :
-       {SnapshotSection::kMeta, SnapshotSection::kBillboards,
-        SnapshotSection::kTrajectories,
-        SnapshotSection::kCompressedIncidence,
-        SnapshotSection::kCompressedCovering}) {
+       {SnapshotSection::kBillboards, SnapshotSection::kTrajectories}) {
     if (!table.seen[static_cast<uint32_t>(required)]) {
       return Status::DataLoss(
           "snapshot is missing section id " +
           std::to_string(static_cast<uint32_t>(required)));
     }
   }
-
-  MROAM_ASSIGN_OR_RETURN(
-      wire::MetaSection meta,
-      wire::DecodeMeta(
-          table.payloads[static_cast<uint32_t>(SnapshotSection::kMeta)]));
-
-  // The index is rebuilt and verified before the dataset is decoded, so
-  // the re-encode temporaries are freed before the dataset's allocations
-  // land above them. In the other order, each load of the default serve
-  // city took ~600 more page faults and ~15% longer.
-  const std::string_view covered_blob = table.payloads[static_cast<uint32_t>(
-      SnapshotSection::kCompressedIncidence)];
-  const std::string_view covering_blob = table.payloads[static_cast<uint32_t>(
-      SnapshotSection::kCompressedCovering)];
-  // Borrowing is safe here (`data` outlives the decode), and FromBytes
+  // Borrowing is safe here (`data` outlives the decode), and each blob
   // runs the full structural validation either way.
-  MROAM_ASSIGN_OR_RETURN(
-      cindex::CompressedPostings covered_c,
-      cindex::CompressedPostings::FromBytes(covered_blob,
-                                            cindex::Ownership::kBorrow));
-  if (covered_c.num_lists() != meta.num_billboards ||
-      covered_c.universe() != static_cast<int32_t>(meta.num_trajectories)) {
-    return Status::DataLoss(
-        "snapshot compressed incidence shape disagrees with meta section");
-  }
-  std::vector<std::vector<model::TrajectoryId>> covered(
-      covered_c.num_lists());
-  for (uint32_t o = 0; o < covered_c.num_lists(); ++o) {
-    covered_c.Decode(static_cast<int32_t>(o), &covered[o]);
-  }
+  MROAM_ASSIGN_OR_RETURN(wire::IndexSections sections,
+                         wire::BorrowIndexSections(table));
+  const wire::MetaSection& meta = sections.meta;
+  MROAM_RETURN_IF_ERROR(CheckBillboards(
+      table.payloads[static_cast<uint32_t>(SnapshotSection::kBillboards)],
+      meta.num_billboards));
+  MROAM_RETURN_IF_ERROR(CheckTrajectories(
+      table.payloads[static_cast<uint32_t>(SnapshotSection::kTrajectories)],
+      meta.num_trajectories));
 
-  // FromIncidence re-validates the decoded lists and rebuilds the reverse
-  // index; re-encoding both directions must reproduce the stored payloads
-  // byte for byte. That is the integrity check (it also certifies the
-  // covering blob without a separate decode).
-  influence::InfluenceIndex index = influence::InfluenceIndex::FromIncidence(
-      std::move(covered), static_cast<int32_t>(meta.num_trajectories),
-      meta.lambda);
-  if (EncodeCovered(index).bytes() != covered_blob ||
-      EncodeCovering(index).bytes() != covering_blob) {
+  std::vector<std::vector<model::TrajectoryId>> covered(
+      sections.covered.num_lists());
+  for (uint32_t o = 0; o < sections.covered.num_lists(); ++o) {
+    sections.covered.Decode(static_cast<int32_t>(o), &covered[o]);
+  }
+  std::vector<model::TrajectoryId> dataset_ids;
+  sections.dataset_ids.Decode(0, &dataset_ids);
+
+  // BorrowIndexSections has checked every precondition the rebuild
+  // CHECKs; re-encoding both directions must reproduce the stored
+  // payloads byte for byte. That is the integrity check (it also
+  // certifies the covering blob without a separate decode).
+  IndexSnapshot snapshot;
+  snapshot.index = influence::InfluenceIndex::FromCompactedIncidence(
+      std::move(covered), std::move(dataset_ids),
+      static_cast<int32_t>(meta.num_trajectories), meta.lambda);
+  if (EncodeCovered(snapshot.index).bytes() != sections.covered.bytes() ||
+      EncodeCovering(snapshot.index).bytes() != sections.covering.bytes()) {
     return Status::DataLoss(
         "snapshot compressed sections do not re-encode to the stored "
         "bytes");
   }
-
-  MROAM_ASSIGN_OR_RETURN(
-      IndexSnapshot snapshot,
-      DecodeDataset(
-          meta,
-          table.payloads[static_cast<uint32_t>(SnapshotSection::kBillboards)],
-          table.payloads[static_cast<uint32_t>(
-              SnapshotSection::kTrajectories)]));
-  snapshot.index = std::move(index);
 
   if (table.seen[static_cast<uint32_t>(SnapshotSection::kContractBook)]) {
     MROAM_ASSIGN_OR_RETURN(
@@ -475,26 +643,20 @@ Result<IndexSnapshot> LoadIndexSnapshot(const std::string& path) {
                            path);
   }
   common::Stopwatch watch;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("snapshot not found: " + path);
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::IoError("read error on snapshot: " + path);
-  }
-  MROAM_ASSIGN_OR_RETURN(IndexSnapshot snapshot, DecodeSnapshot(data, path));
+  // The mapping lives only for the decode: the index owns its lists.
+  MROAM_ASSIGN_OR_RETURN(wire::MappedFile file, wire::MappedFile::Open(path));
+  MROAM_ASSIGN_OR_RETURN(IndexSnapshot snapshot,
+                         DecodeSnapshot(file.data(), path));
 
   MROAM_COUNTER_ADD("io.snapshot_loads", 1);
   MROAM_HISTOGRAM_OBSERVE("io.snapshot_load_seconds",
                           watch.ElapsedSeconds());
   MROAM_LOG(Info) << "snapshot (v" << kSnapshotVersion << ") loaded from "
-                  << path << " (" << snapshot.dataset.billboards.size()
-                  << " billboards, " << snapshot.dataset.trajectories.size()
-                  << " trajectories, supply "
-                  << snapshot.index.TotalSupply() << ") in "
-                  << watch.ElapsedSeconds() << "s";
+                  << path << " (" << snapshot.index.num_billboards()
+                  << " billboards, " << snapshot.index.num_trajectories()
+                  << " trajectories, " << snapshot.index.num_covered()
+                  << " covered, supply " << snapshot.index.TotalSupply()
+                  << ") in " << watch.ElapsedSeconds() << "s";
   return snapshot;
 }
 

@@ -22,15 +22,19 @@ namespace mroam::io {
 // integer is little-endian, every double is its IEEE-754 bit pattern, so a
 // round trip is bit-exact.
 //
-// The format is version 2. The incidence and reverse-covering lists are
-// stored as cindex compressed-posting blobs, with 16-byte section headers
-// and zero padding that places every payload on a 64-byte file offset —
-// the exact owned layout of cindex::CompressedPostings, so MappedSnapshot
-// (mmap_snapshot.h) can borrow the blobs straight out of a mapping and
-// serve with zero decoded copies. The file also carries the serving
-// layer's open contract book, so a drained server restores its active
-// contracts on restart. Version 1 (flat int32 lists) is retired: both
-// loaders reject it like any other unsupported version.
+// The format is version 3. The incidence and reverse-covering lists are
+// stored over the index's compacted universe (the trajectories some board
+// covers) as cindex compressed-posting blobs, and a third blob lists the
+// covered trajectories' dataset ids. 16-byte section headers and zero
+// padding place every payload on a 64-byte file offset — the exact owned
+// layout of cindex::CompressedPostings, so MappedSnapshot (mmap_snapshot.h)
+// can borrow the blobs straight out of a mapping and serve with zero
+// decoded copies. The file also carries the serving layer's open contract
+// book, so a drained server restores its active contracts on restart.
+// Neither boot decodes the dataset's points: a boot keeps the postings and
+// the book, and ResaveIndexSnapshot re-saves by copying the other sections
+// byte for byte. Versions 1 and 2 are retired: both loaders reject them
+// like any other unsupported version.
 // ---------------------------------------------------------------------------
 
 /// First 8 bytes of every snapshot file.
@@ -38,7 +42,7 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'R', 'O', 'A',
                                            'M', 'S', 'N', 'P'};
 
 /// The one on-disk version SaveIndexSnapshot writes and the loaders read.
-inline constexpr uint32_t kSnapshotVersion = 2;
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// Section identifiers. Each section appears at most once; kEnd
 /// terminates the file. Ids 4 and 5 held the retired version 1's flat
@@ -51,6 +55,7 @@ enum class SnapshotSection : uint32_t {
   kCompressedIncidence = 6,  ///< covered lists as a cindex CPB1 blob
   kCompressedCovering = 7,   ///< covering lists as a cindex CPB1 blob
   kContractBook = 8,         ///< the serving layer's open book
+  kCoveredIds = 9,  ///< dataset ids of the covered trajectories (CPB1)
 };
 
 /// Bytes of a section header: id (u32) + pad (u32) + payload length
@@ -62,11 +67,10 @@ inline constexpr size_t kSnapshotSectionHeaderBytesV2 = 16;
 /// Bytes of the file header: magic (8) + version (u32).
 inline constexpr size_t kSnapshotFileHeaderBytes = 12;
 
-/// A loaded snapshot: the dataset, its prebuilt index, and the serving
-/// layer's contract book at save time (empty for snapshots saved outside
-/// a serving drain).
+/// A loaded snapshot: the prebuilt index and the serving layer's contract
+/// book at save time (empty for snapshots saved outside a serving drain).
+/// The dataset's billboards and trajectory points stay in the file.
 struct IndexSnapshot {
-  model::Dataset dataset;
   influence::InfluenceIndex index;
   market::ContractBook book;
 };
@@ -86,15 +90,33 @@ common::Status SaveIndexSnapshot(
     const influence::InfluenceIndex& index,
     const market::ContractBook& book = market::ContractBook{});
 
-/// Reads a snapshot into a plain-list index. Corruption is caught in
-/// layers: framing damage (bad magic, unsupported version, truncation,
-/// CRC mismatch, misaligned payload, unknown/missing/duplicate sections)
-/// returns a typed error; the compressed blobs then pass their full
-/// structural validation, are decoded, and re-validated through the
-/// InfluenceIndex::FromIncidence preconditions (sorted, duplicate-free,
-/// in-range lists — MROAM_CHECK). Finally both directions are re-encoded
-/// and must be byte-identical to the stored blobs (the codec is
-/// deterministic, so any inconsistency is corruption).
+/// Writes a copy of the snapshot at `source` to `path` with `book` as its
+/// contract book: every other section is copied byte for byte, so a boot
+/// that keeps no dataset (either snapshot boot) can still save its book.
+/// It goes through SaveIndexSnapshot's atomic temp-and-rename writer and
+/// its "io.snapshot_write" fault point, and `source` may equal `path`.
+/// Fails like a load on a missing or damaged `source`, and with
+/// kFailedPrecondition when `source` does not hold `index` (its incidence
+/// section is not `index`'s encoding).
+common::Status ResaveIndexSnapshot(const std::string& source,
+                                   const std::string& path,
+                                   const influence::InfluenceIndex& index,
+                                   const market::ContractBook& book);
+
+/// Reads a snapshot into a plain-list index. The file is mapped for the
+/// decode and unmapped before returning; a path that is not a regular
+/// file is kInvalidArgument. Corruption is caught in layers: framing
+/// damage (bad magic, unsupported version, truncation, CRC mismatch,
+/// misaligned payload, unknown/missing/duplicate sections) returns a
+/// typed error; the compressed blobs then pass their full structural
+/// validation, their shapes are checked against each other and the meta
+/// section, and every covered trajectory must have 1..kMaxCoveringBoards
+/// covering boards (kDataLoss otherwise). The billboards and trajectories
+/// sections are walked for their counts and for at least one point per
+/// trajectory, and no point is kept. Finally both directions are
+/// re-encoded from the rebuilt index and must be byte-identical to the
+/// stored blobs (the codec is deterministic, so any inconsistency is
+/// corruption).
 common::Result<IndexSnapshot> LoadIndexSnapshot(const std::string& path);
 
 }  // namespace mroam::io

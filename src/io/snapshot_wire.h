@@ -7,19 +7,52 @@
 #include <string_view>
 #include <vector>
 
+#include "cindex/postings.h"
 #include "common/crc32.h"
 #include "common/status.h"
 #include "market/contract_book.h"
 
 // ---------------------------------------------------------------------------
 // Wire-level helpers shared by the snapshot writer/loader (snapshot_io.cc)
-// and the zero-copy mmap loader (mmap_snapshot.cc): little-endian primitive
-// encoding, a bounds-checked cursor, the file-header check and section
-// walker, and the meta and contract-book codecs. Internal to src/io — the
-// public surface is snapshot_io.h / mmap_snapshot.h.
+// and the zero-copy mmap loader (mmap_snapshot.cc): the read-only file
+// mapping both boots read through, little-endian primitive encoding, a
+// bounds-checked cursor, the file-header check and section walker, the
+// index sections' shared validation, and the meta and contract-book
+// codecs. Internal to src/io — the public surface is snapshot_io.h /
+// mmap_snapshot.h.
 // ---------------------------------------------------------------------------
 
 namespace mroam::io::wire {
+
+// --- Read-only file mapping ------------------------------------------------
+
+/// A snapshot file mapped read-only for the life of the object: the mmap
+/// boot keeps it as long as it serves, the decoded boot and the re-save
+/// drop it once done. Move-only.
+class MappedFile {
+ public:
+  /// Maps `path`: kNotFound when it does not exist, kInvalidArgument when
+  /// it is not a regular file (a directory, say), kDataLoss when it is
+  /// shorter than the file header, kIoError on any other failure.
+  static common::Result<MappedFile> Open(const std::string& path);
+
+  MappedFile() = default;
+  MappedFile(MappedFile&& other) noexcept;
+  MappedFile& operator=(MappedFile&& other) noexcept;
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+  ~MappedFile();
+
+  std::string_view data() const {
+    return {static_cast<const char*>(map_), len_};
+  }
+
+ private:
+  void Unmap();
+
+  void* map_ = nullptr;
+  size_t len_ = 0;
+};
 
 // --- Little-endian primitive encoding --------------------------------------
 
@@ -205,14 +238,14 @@ inline common::Result<market::ContractBook> DecodeBook(
   return book;
 }
 
-// --- Version-2 section framing ---------------------------------------------
+// --- Section framing (unchanged since version 2) ---------------------------
 
-/// Payload alignment of every v2 section — matches
+/// Payload alignment of every section — matches
 /// cindex::kPostingsAlignment so a mapped compressed blob can be borrowed
 /// in place.
 inline constexpr size_t kSectionAlignmentV2 = 64;
 
-/// Payload views of a walked v2 file, indexed by section id. Views point
+/// Payload views of a walked file, indexed by section id. Views point
 /// into the walked buffer (heap copy or mmap) — they live as long as it
 /// does.
 struct SectionTableV2 {
@@ -224,13 +257,33 @@ struct SectionTableV2 {
 /// its section chain: per section a 16-byte header {id u32, pad u32, len
 /// u64}, `pad` zero bytes placing the payload on a 64-byte file offset,
 /// the payload, then its CRC-32. A foreign magic or any version other
-/// than kSnapshotVersion (the retired version 1 included) fails with
-/// kInvalidArgument naming `path`. Framing damage fails with kDataLoss:
-/// truncation, misalignment, a CRC mismatch, an unknown or reserved
-/// section id, a repeated id, or a missing terminating kEnd (id 0) or
-/// bytes after it.
+/// than kSnapshotVersion (the retired versions 1 and 2 included) fails
+/// with kInvalidArgument naming `path`. Framing damage fails with
+/// kDataLoss: truncation, misalignment, a CRC mismatch, an unknown or
+/// reserved section id, a repeated id, or a missing terminating kEnd
+/// (id 0) or bytes after it.
 common::Result<SectionTableV2> WalkSnapshot(std::string_view data,
                                             const std::string& path);
+
+/// The index sections of a walked file: the meta section and the three
+/// postings blobs, borrowed from the walked buffer.
+struct IndexSections {
+  MetaSection meta;
+  cindex::CompressedPostings covered;
+  cindex::CompressedPostings covering;
+  cindex::CompressedPostings dataset_ids;
+};
+
+/// Decodes the meta section and borrows the incidence, covering and
+/// covered-id blobs of `table`, each through its full structural
+/// validation, then checks what both boots rely on, with kDataLoss for
+/// each violation: the sections are present; the incidence has
+/// meta.num_billboards lists; the covering blob is its transpose in
+/// shape and total; the id list is one list over meta.num_trajectories
+/// (so ascending and in range) as long as the incidence's universe; and
+/// every trajectory of that universe is covered by
+/// 1..influence::kMaxCoveringBoards boards.
+common::Result<IndexSections> BorrowIndexSections(const SectionTableV2& table);
 
 }  // namespace mroam::io::wire
 

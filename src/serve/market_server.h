@@ -73,7 +73,7 @@ struct MarketServerConfig {
   /// are evicted past this bound (a poll after eviction sees 404).
   int ticket_history = 1 << 16;
 
-  /// Contract book to restore at construction (snapshot v2's
+  /// Contract book to restore at construction (the snapshot's
   /// kContractBook section, as loaded by LoadIndexSnapshot or
   /// MappedSnapshot): the market resumes at the stored day with every
   /// stored contract active and the ticket sequence continuing where the
@@ -182,7 +182,7 @@ class MarketServer {
 
   /// Snapshots the market's open book (day, ticket sequence, active
   /// contracts with their deployments) — what a draining host hands to
-  /// io::SaveIndexSnapshot so a restart resumes instead of starting
+  /// io::ResaveIndexSnapshot so a restart resumes instead of starting
   /// empty. Meaningful after Stop() (every queued arrival has flushed);
   /// callable any time for inspection.
   market::ContractBook ExportBook();

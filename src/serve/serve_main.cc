@@ -6,7 +6,7 @@
 //                     report shows io.snapshot_load_seconds and no
 //                     influence.index_build_seconds entry.
 //   --snapshot PATH --mmap
-//                     zero-copy cold start: the (v2) snapshot is mmapped
+//                     zero-copy cold start: the snapshot is mmapped
 //                     and the compressed posting blobs are served straight
 //                     out of the mapping — no decoded incidence copy ever
 //                     exists, so boot cost is page faults plus one CRC
@@ -15,10 +15,11 @@
 //                     in-process (slow path; useful with --save-snapshot
 //                     to produce the snapshot for later cold starts).
 //
-// A v2 snapshot also carries the serving layer's open contract book;
-// both snapshot boot paths restore it, and a drain with --save-snapshot
+// A snapshot also carries the serving layer's open contract book; both
+// snapshot boot paths restore it, and a drain with --save-snapshot
 // persists the current book, so a restart resumes the market instead of
-// starting empty.
+// starting empty. Neither snapshot boot keeps the dataset: their saves
+// copy the snapshot's other sections byte for byte.
 //
 // The process serves until SIGTERM/SIGINT, then drains: in-flight
 // requests finish, queued arrivals are flushed through a final replan,
@@ -41,6 +42,7 @@
 #include "influence/influence_index.h"
 #include "io/mmap_snapshot.h"
 #include "io/snapshot_io.h"
+#include "model/dataset.h"
 #include "obs/crash_handler.h"
 #include "obs/metrics.h"
 #include "serve/market_server.h"
@@ -92,11 +94,11 @@ boot (exactly one of):
   --gen nyc|sg           generate a synthetic city and build the index
 
 options:
-  --mmap                 with --snapshot: mmap the (v2) snapshot and serve
-                         the compressed index zero-copy out of the mapping
+  --mmap                 with --snapshot: mmap the snapshot and serve the
+                         compressed index zero-copy out of the mapping
   --save-snapshot PATH   write the booted index as a snapshot before
                          serving, and again with the open contract book on
-                         drain (incompatible with --mmap)
+                         drain
   --billboards N         with --gen: billboard count (default 400)
   --trajectories N       with --gen: trajectory count (default 20000)
   --lambda METERS        with --gen: influence radius (default 100)
@@ -133,8 +135,8 @@ overload contract:
                          before eviction (default 65536)
 
 exit status: 0 ok, 1 boot/serve failure, 2 usage error, 3 snapshot
-load/map failure (--snapshot path missing, corrupt, or of a version
-other than 2).
+load/map failure (--snapshot path missing, not a regular file, corrupt,
+or of a version other than 3).
 )");
 }
 
@@ -226,11 +228,6 @@ Status ParseOptions(int argc, char** argv, Options* options) {
   if (options->mmap && options->snapshot.empty()) {
     return Status::InvalidArgument("--mmap requires --snapshot");
   }
-  if (options->mmap && !options->save_snapshot.empty()) {
-    return Status::InvalidArgument(
-        "--save-snapshot needs the decoded dataset, which a --mmap boot "
-        "never materializes; load without --mmap to re-save");
-  }
   if (!options->gen.empty() && options->gen != "nyc" &&
       options->gen != "sg") {
     return Status::InvalidArgument("--gen must be nyc or sg, got '" +
@@ -255,8 +252,10 @@ mroam::common::Result<mroam::core::Method> MethodFromName(
   return Status::InvalidArgument("unknown --method '" + name + "'");
 }
 
-/// Boots the dataset + index per the chosen path. On the snapshot path no
-/// index build runs — that is the tentpole's cold-start guarantee.
+/// Boots the index (and the book) per the chosen path. On the snapshot
+/// path no index build runs: that is the cold-start guarantee. A --gen
+/// boot writes --save-snapshot here, while it holds the dataset, and drops
+/// the dataset on return.
 Status Boot(const Options& options, mroam::io::IndexSnapshot* booted) {
   mroam::common::Stopwatch watch;
   if (!options.snapshot.empty()) {
@@ -272,28 +271,31 @@ Status Boot(const Options& options, mroam::io::IndexSnapshot* booted) {
   }
 
   mroam::common::Rng rng(options.seed);
+  mroam::model::Dataset dataset;
   if (options.gen == "nyc") {
     mroam::gen::NycLikeConfig config;
     config.num_billboards = options.gen_billboards;
     config.num_trajectories = options.gen_trajectories;
-    booted->dataset = mroam::gen::GenerateNycLike(config, &rng);
+    dataset = mroam::gen::GenerateNycLike(config, &rng);
   } else {
     mroam::gen::SgLikeConfig config;
     config.num_billboards = options.gen_billboards;
     config.num_trajectories = options.gen_trajectories;
-    booted->dataset = mroam::gen::GenerateSgLike(config, &rng);
+    dataset = mroam::gen::GenerateSgLike(config, &rng);
   }
-  booted->index = mroam::influence::InfluenceIndex::Build(booted->dataset,
-                                                          options.lambda);
-  MROAM_LOG(Info) << "generated " << booted->dataset.name << " and built "
+  booted->index =
+      mroam::influence::InfluenceIndex::Build(dataset, options.lambda);
+  MROAM_LOG(Info) << "generated " << dataset.name << " and built "
                   << "the index in " << watch.ElapsedSeconds() << "s";
-  return Status::Ok();
+  if (options.save_snapshot.empty()) return Status::Ok();
+  return mroam::io::SaveIndexSnapshot(options.save_snapshot, dataset,
+                                      booted->index, booted->book);
 }
 
 int Run(const Options& options) {
   // Exactly one of the two boot forms owns the index: `mapped` keeps a
   // borrowed-postings index alive over the mmap for the whole serving
-  // lifetime, `booted` holds a decoded dataset + index.
+  // lifetime, `booted` holds a decoded or built index.
   mroam::io::IndexSnapshot booted;
   std::optional<mroam::io::MappedSnapshot> mapped;
   const mroam::influence::InfluenceIndex* index = nullptr;
@@ -337,10 +339,10 @@ int Run(const Options& options) {
     book = &booted.book;
   }
 
-  if (!options.save_snapshot.empty()) {
-    status = mroam::io::SaveIndexSnapshot(options.save_snapshot,
-                                          booted.dataset, booted.index,
-                                          booted.book);
+  if (!options.save_snapshot.empty() && !options.snapshot.empty()) {
+    // A snapshot boot holds no dataset: its save copies the boot file.
+    status = mroam::io::ResaveIndexSnapshot(
+        options.snapshot, options.save_snapshot, *index, *book);
     if (!status.ok()) {
       MROAM_LOG(Error) << "snapshot save failed: " << status.ToString();
       return 1;
@@ -404,10 +406,11 @@ int Run(const Options& options) {
   server.Stop();
   if (!options.save_snapshot.empty()) {
     // Persist the drained book so the next boot resumes this market
-    // (every queued arrival has flushed by now, so the book is final).
-    status = mroam::io::SaveIndexSnapshot(options.save_snapshot,
-                                          booted.dataset, booted.index,
-                                          server.ExportBook());
+    // (every queued arrival has flushed by now, so the book is final):
+    // a copy of the snapshot saved at boot, with this book.
+    status = mroam::io::ResaveIndexSnapshot(options.save_snapshot,
+                                            options.save_snapshot, *index,
+                                            server.ExportBook());
     if (!status.ok()) {
       MROAM_LOG(Error) << "drain-time snapshot save failed: "
                        << status.ToString();

@@ -54,10 +54,11 @@ TemporalMarket BuildTemporalMarket(const model::Dataset& dataset,
 
       std::vector<model::TrajectoryId> list;
       for (model::TrajectoryId t : geometric.CoveredBy(o)) {
-        const model::Trajectory& trajectory = dataset.trajectories[t];
+        const model::TrajectoryId id = geometric.dataset_ids()[t];
+        const model::Trajectory& trajectory = dataset.trajectories[id];
         if (slot.window.Overlaps(trajectory.start_time_seconds,
                                  trajectory.travel_time_seconds)) {
-          list.push_back(t);
+          list.push_back(id);
         }
       }
       covered.push_back(std::move(list));

@@ -273,8 +273,9 @@ TEST(CompressedCounterTest, MatchesPlainCounterUnderRandomOperations) {
         ASSERT_EQ(comp.MarginalLoss(probe), plain.MarginalLoss(probe))
             << "threshold " << threshold << " step " << step;
       }
+      ASSERT_EQ(comp.universe(), index.num_covered());
       const int32_t t =
-          static_cast<int32_t>(rng.UniformU64(num_trajectories));
+          static_cast<int32_t>(rng.UniformU64(index.num_covered()));
       ASSERT_EQ(comp.CountOf(t), plain.CountOf(t));
     }
   }
@@ -310,18 +311,24 @@ TEST(FromCompressedTest, ServesTheSameIncidenceWithoutPlainLists) {
   EXPECT_FALSE(compact.has_plain());
   EXPECT_EQ(compact.num_billboards(), full.num_billboards());
   EXPECT_EQ(compact.num_trajectories(), full.num_trajectories());
+  EXPECT_EQ(compact.num_covered(), full.num_covered());
+  EXPECT_LT(compact.num_covered(), compact.num_trajectories());
   EXPECT_EQ(compact.TotalSupply(), full.TotalSupply());
+  std::vector<model::TrajectoryId> ids;
+  compact.ForEachDatasetId([&ids](model::TrajectoryId t) { ids.push_back(t); });
+  EXPECT_EQ(ids, full.dataset_ids());
   EXPECT_EQ(compact.lambda(), full.lambda());
 
   for (int32_t o = 0; o < full.num_billboards(); ++o) {
     EXPECT_EQ(compact.InfluenceOf(o), full.InfluenceOf(o));
     std::vector<model::TrajectoryId> walked;
-    compact.ForEachCovered(o, [&walked](model::TrajectoryId t) {
-      walked.push_back(t);
+    compact.ForEachCovered(o, [&](model::TrajectoryId t) {
+      walked.push_back(ids[static_cast<size_t>(t)]);
     });
-    EXPECT_EQ(walked, full.CoveredBy(o)) << "billboard " << o;
+    EXPECT_EQ(walked, testing::DatasetIdsCoveredBy(full, o))
+        << "billboard " << o;
   }
-  for (int32_t t = 0; t < full.num_trajectories(); ++t) {
+  for (int32_t t = 0; t < full.num_covered(); ++t) {
     std::vector<model::BillboardId> walked;
     compact.ForEachCovering(t, [&walked](model::BillboardId o) {
       walked.push_back(o);

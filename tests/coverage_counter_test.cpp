@@ -37,16 +37,20 @@ TEST(CoverageCounterTest, AddRemoveMaintainsInfluence) {
 }
 
 TEST(CoverageCounterTest, CountOfTracksMultiplicity) {
+  // Dataset trajectory 1 meets no board, so the counter's universe is
+  // trajectories 0, 2 and 3, counted at compacted ids 0, 1 and 2.
   model::Dataset keep;
   InfluenceIndex index =
-      IndexFromIncidence({{0, 1}, {1, 2}, {1}}, 3, &keep);
+      IndexFromIncidence({{0, 2}, {2, 3}, {2}}, 4, &keep);
+  ASSERT_EQ(index.dataset_ids(), (std::vector<model::TrajectoryId>{0, 2, 3}));
   CoverageCounter counter(&index);
+  EXPECT_EQ(counter.universe(), 3);
   counter.Add(0);
   counter.Add(1);
   counter.Add(2);
-  EXPECT_EQ(counter.CountOf(0), 1);
-  EXPECT_EQ(counter.CountOf(1), 3);
-  EXPECT_EQ(counter.CountOf(2), 1);
+  EXPECT_EQ(counter.CountOf(0), 1);  // dataset trajectory 0
+  EXPECT_EQ(counter.CountOf(1), 3);  // dataset trajectory 2
+  EXPECT_EQ(counter.CountOf(2), 1);  // dataset trajectory 3
 }
 
 TEST(CoverageCounterTest, MarginalGainCountsOnlyUncovered) {
@@ -202,7 +206,7 @@ INSTANTIATE_TEST_SUITE_P(
 int64_t BruteForceInfluence(const InfluenceIndex& index,
                             const std::vector<model::BillboardId>& set,
                             uint16_t threshold) {
-  std::vector<int> counts(index.num_trajectories(), 0);
+  std::vector<int> counts(index.num_covered(), 0);
   for (model::BillboardId o : set) {
     for (model::TrajectoryId t : index.CoveredBy(o)) ++counts[t];
   }

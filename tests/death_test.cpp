@@ -90,5 +90,28 @@ TEST(FromIncidenceDeathTest, NegativeTrajectoryCountCrashes) {
                "num_trajectories");
 }
 
+// A counter spends one byte on each trajectory, so both factories that
+// build from scratch refuse a trajectory more boards cover than that
+// holds, naming it; 255 boards still fit.
+TEST(FromIncidenceDeathTest, TrajectoryOverOneByteOfBoardsCrashesNamingIt) {
+  std::vector<std::vector<model::TrajectoryId>> covered(
+      influence::kMaxCoveringBoards + 1, {2});
+  EXPECT_DEATH(influence::InfluenceIndex::FromIncidence(covered, 4, 1.0),
+               "trajectory 2 is covered by 256 boards");
+  covered.pop_back();
+  EXPECT_EQ(
+      influence::InfluenceIndex::FromIncidence(covered, 4, 1.0).num_covered(),
+      1);
+}
+
+TEST(BuildDeathTest, TrajectoryOverOneByteOfBoardsCrashesNamingIt) {
+  std::vector<std::vector<model::TrajectoryId>> covered(
+      influence::kMaxCoveringBoards + 1, {1});
+  const model::Dataset dataset = testing::DatasetFromIncidence(covered, 3);
+  EXPECT_DEATH(
+      influence::InfluenceIndex::Build(dataset, testing::kFixtureLambda),
+      "trajectory 1 is covered by 256 boards");
+}
+
 }  // namespace
 }  // namespace mroam::core

@@ -1,5 +1,8 @@
 #include "influence/influence_index.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "gen/city_generators.h"
@@ -10,6 +13,7 @@ namespace mroam::influence {
 namespace {
 
 using testing::DatasetFromIncidence;
+using testing::DatasetIdsCoveredBy;
 using testing::kFixtureLambda;
 
 TEST(InfluenceIndexTest, IncidenceFixtureIsExact) {
@@ -19,13 +23,38 @@ TEST(InfluenceIndexTest, IncidenceFixtureIsExact) {
   InfluenceIndex index = InfluenceIndex::Build(d, kFixtureLambda);
   ASSERT_EQ(index.num_billboards(), 4);
   EXPECT_EQ(index.num_trajectories(), 5);
-  EXPECT_EQ(index.CoveredBy(0),
+  EXPECT_EQ(DatasetIdsCoveredBy(index, 0),
             (std::vector<model::TrajectoryId>{0, 1, 2}));
-  EXPECT_EQ(index.CoveredBy(1), (std::vector<model::TrajectoryId>{2, 3}));
+  EXPECT_EQ(DatasetIdsCoveredBy(index, 1),
+            (std::vector<model::TrajectoryId>{2, 3}));
   EXPECT_TRUE(index.CoveredBy(2).empty());
   EXPECT_EQ(index.InfluenceOf(0), 3);
   EXPECT_EQ(index.InfluenceOf(2), 0);
   EXPECT_EQ(index.TotalSupply(), 6);
+}
+
+TEST(InfluenceIndexTest, CompactsUncoveredTrajectoriesInOrder) {
+  // Trajectories 0, 2, 3, 5 and 7 meet no board: the universe is 1, 4, 6
+  // renumbered 0, 1, 2 in dataset order, from either factory, while
+  // num_trajectories() keeps the dataset's count.
+  const std::vector<std::vector<model::TrajectoryId>> covered{
+      {1, 4}, {}, {4, 6}};
+  model::Dataset d = DatasetFromIncidence(covered, 8);
+  for (const InfluenceIndex& index :
+       {InfluenceIndex::Build(d, kFixtureLambda),
+        InfluenceIndex::FromIncidence(covered, 8, kFixtureLambda)}) {
+    EXPECT_EQ(index.num_trajectories(), 8);
+    EXPECT_EQ(index.num_covered(), 3);
+    EXPECT_EQ(index.dataset_ids(),
+              (std::vector<model::TrajectoryId>{1, 4, 6}));
+    EXPECT_EQ(index.CoveredBy(0), (std::vector<model::TrajectoryId>{0, 1}));
+    EXPECT_EQ(index.CoveredBy(2), (std::vector<model::TrajectoryId>{1, 2}));
+    EXPECT_EQ(index.CoveringOf(1), (std::vector<model::BillboardId>{0, 2}));
+    EXPECT_EQ(index.covering().size(), 3u);
+    EXPECT_EQ(DatasetIdsCoveredBy(index, 2),
+              (std::vector<model::TrajectoryId>{4, 6}));
+    EXPECT_EQ(index.TotalSupply(), 4);
+  }
 }
 
 TEST(InfluenceIndexTest, DuplicatePointsCountOnce) {
@@ -58,7 +87,9 @@ TEST(InfluenceIndexTest, LambdaBoundaryIsInclusive) {
   beyond.points = {{100.0001, 0.0}};
   d.trajectories = {exactly, beyond};
   InfluenceIndex index = InfluenceIndex::Build(d, 100.0);
-  EXPECT_EQ(index.CoveredBy(0), (std::vector<model::TrajectoryId>{0}));
+  EXPECT_EQ(DatasetIdsCoveredBy(index, 0),
+            (std::vector<model::TrajectoryId>{0}));
+  EXPECT_EQ(index.num_covered(), 1);
 }
 
 TEST(InfluenceIndexTest, MatchesBruteForceOnGeneratedCity) {
@@ -71,9 +102,16 @@ TEST(InfluenceIndexTest, MatchesBruteForceOnGeneratedCity) {
   InfluenceIndex index = InfluenceIndex::Build(d, lambda);
   auto brute = BruteForceIncidence(d, lambda);
   ASSERT_EQ(brute.size(), static_cast<size_t>(index.num_billboards()));
+  std::vector<model::TrajectoryId> met;
   for (int32_t o = 0; o < index.num_billboards(); ++o) {
-    EXPECT_EQ(index.CoveredBy(o), brute[o]) << "billboard " << o;
+    EXPECT_EQ(DatasetIdsCoveredBy(index, o), brute[o]) << "billboard " << o;
+    met.insert(met.end(), brute[o].begin(), brute[o].end());
   }
+  // The universe is exactly the trajectories some board meets.
+  std::sort(met.begin(), met.end());
+  met.erase(std::unique(met.begin(), met.end()), met.end());
+  EXPECT_EQ(index.dataset_ids(), met);
+  EXPECT_LT(index.num_covered(), index.num_trajectories());
 }
 
 TEST(InfluenceIndexTest, InfluenceOfSetUnionsDistinctTrajectories) {

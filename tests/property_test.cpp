@@ -1,7 +1,9 @@
 // Property-based tests of the solver stack: hardness-reduction instances,
 // duality, local-maximum guarantees, and random-instance invariants.
 #include <algorithm>
+#include <bit>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -240,6 +242,76 @@ TEST_P(RandomInstanceTest, LocalSearchMethodsNeverLoseToGGlobal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomInstanceTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+// ---------------------------------------------------------------------------
+// Compaction: an index's universe is the trajectories some board covers,
+// so trajectories no board meets change no plan. Inserting them at random
+// positions renumbers every covered trajectory's dataset id, yet every
+// method at thresholds 1-3 returns the same sets, regret and BLS counters,
+// and every counter holds exactly the covered trajectories.
+// ---------------------------------------------------------------------------
+
+class CompactionTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CompactionTest, UncoveredTrajectoriesChangeNoPlan) {
+  RandomInstance inst = MakeRandomInstance(GetParam() + 9000);
+  constexpr int32_t kTrajectories = 64;  // MakeRandomInstance's ids fit
+  common::Rng rng(GetParam());
+  std::vector<model::TrajectoryId> spread(kTrajectories);
+  model::TrajectoryId next = 0;
+  for (model::TrajectoryId& id : spread) {
+    next += static_cast<model::TrajectoryId>(rng.UniformU64(4));
+    id = next++;
+  }
+  std::vector<std::vector<model::TrajectoryId>> padded = inst.covered;
+  for (auto& list : padded) {
+    for (model::TrajectoryId& t : list) t = spread[static_cast<size_t>(t)];
+  }
+  // The two instances go through different factories (Build and
+  // FromIncidence), so neither can hide an order its compaction breaks.
+  const auto base =
+      IndexFromIncidence(inst.covered, kTrajectories, &inst.dataset);
+  const auto wide = influence::InfluenceIndex::FromIncidence(
+      padded, next + 2, testing::kFixtureLambda);
+  ASSERT_EQ(wide.num_covered(), base.num_covered());
+  ASSERT_GT(wide.num_trajectories(), base.num_trajectories());
+  EXPECT_EQ(wide.covered(), base.covered());
+
+  for (uint16_t threshold : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
+    const Assignment empty(&wide, inst.advertisers, RegretParams{0.5},
+                           threshold);
+    for (int32_t a = 0; a < empty.num_advertisers(); ++a) {
+      EXPECT_EQ(empty.CounterOf(a).universe(), wide.num_covered());
+    }
+    for (Method method : AllMethods()) {
+      SolverConfig config;
+      config.method = method;
+      config.regret.gamma = 0.5;
+      config.impression_threshold = threshold;
+      config.local_search.restarts = 2;
+      config.seed = GetParam() * 13 + threshold;
+      const SolveResult want = Solve(base, inst.advertisers, config);
+      const SolveResult got = Solve(wide, inst.advertisers, config);
+      const std::string where = std::string(MethodName(method)) +
+                                " at threshold " + std::to_string(threshold);
+      EXPECT_EQ(got.sets, want.sets) << where;
+      EXPECT_EQ(got.influences, want.influences) << where;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.breakdown.total),
+                std::bit_cast<uint64_t>(want.breakdown.total))
+          << where;
+      EXPECT_EQ(got.search_stats.moves_applied,
+                want.search_stats.moves_applied)
+          << where;
+      EXPECT_EQ(got.search_stats.deltas_evaluated,
+                want.search_stats.deltas_evaluated)
+          << where;
+      EXPECT_EQ(got.search_stats.sweeps, want.search_stats.sweeps) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompactionTest,
+                         ::testing::Range<uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------------
 // Objective-shape property: total regret of the returned plans is bounded

@@ -11,8 +11,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,6 +24,8 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "io/mmap_snapshot.h"
+#include "io/snapshot_io.h"
 #include "serve/market_server.h"
 #include "test_util.h"
 
@@ -704,6 +709,104 @@ TEST_F(MarketServerTest, StopDrainsQueuedArrivals) {
   EXPECT_EQ(server.TicketStatus(999),
             MarketServer::TicketState::kUnknown);
   EXPECT_FALSE(server.running());
+}
+
+// A drain-time save followed by a restart resumes the market on both
+// boots, as mroam_serve runs them: the restarted server holds the drained
+// book (day, contracts, deployments, tickets) and mints the ticket after
+// it. Half the city's trajectories meet no board, so the boots run on a
+// compacted universe.
+TEST(MarketServerRestartTest, DrainSaveAndRestartRestoreTheBookOnBothBoots) {
+  model::Dataset dataset;
+  const influence::InfluenceIndex built = IndexFromIncidence(
+      {{0, 2, 4, 6},
+       {8, 10, 12, 14},
+       {16, 18, 20, 22},
+       {24, 26, 28, 30},
+       {32, 34},
+       {36, 38},
+       {40, 42},
+       {44, 46}},
+      48, &dataset);
+  ASSERT_EQ(built.num_covered(), 24);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("mroam_restart_test_" + std::to_string(::getpid()) + ".snap"))
+          .string();
+  auto expect_books_equal = [](const market::ContractBook& got,
+                               const market::ContractBook& want) {
+    EXPECT_EQ(got.day, want.day);
+    EXPECT_EQ(got.next_ticket, want.next_ticket);
+    ASSERT_EQ(got.entries.size(), want.entries.size());
+    for (size_t i = 0; i < want.entries.size(); ++i) {
+      const market::ContractBookEntry& g = got.entries[i];
+      const market::ContractBookEntry& w = want.entries[i];
+      EXPECT_EQ(g.terms.id, w.terms.id);
+      EXPECT_EQ(g.terms.demand, w.terms.demand);
+      EXPECT_EQ(std::bit_cast<uint64_t>(g.terms.payment),
+                std::bit_cast<uint64_t>(w.terms.payment));
+      EXPECT_EQ(g.ticket, w.ticket);
+      EXPECT_EQ(g.expires_on, w.expires_on);
+      EXPECT_EQ(g.billboards, w.billboards);
+    }
+  };
+
+  for (bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mmap boot" : "decoded boot");
+    ASSERT_TRUE(io::SaveIndexSnapshot(path, dataset, built).ok());
+    market::ContractBook drained;
+    for (int life = 0; life < 2; ++life) {
+      std::optional<io::IndexSnapshot> decoded;
+      std::optional<io::MappedSnapshot> map;
+      const influence::InfluenceIndex* index = nullptr;
+      const market::ContractBook* book = nullptr;
+      if (mapped) {
+        auto booted = io::MappedSnapshot::Map(path);
+        ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+        map.emplace(std::move(*booted));
+        index = &map->index();
+        book = &map->book();
+      } else {
+        auto booted = io::LoadIndexSnapshot(path);
+        ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+        decoded.emplace(std::move(*booted));
+        index = &decoded->index;
+        book = &decoded->book;
+      }
+      MarketServerConfig config;
+      config.port = 0;
+      config.num_threads = 2;
+      config.max_batch = 2;
+      config.max_batch_delay_seconds = 0.01;
+      config.market.contract_duration_days = 10;
+      config.initial_book = *book;
+      MarketServer server(index, config);
+      if (life == 1) {
+        expect_books_equal(*book, drained);
+        expect_books_equal(server.ExportBook(), drained);
+      }
+      ASSERT_TRUE(server.Start().ok());
+      for (int k = 0; k < 3; ++k) {
+        auto posted =
+            HttpFetch("127.0.0.1", server.port(), "POST", "/contracts",
+                      "{\"demand\": " + std::to_string(3 + k) +
+                          ", \"payment\": " + std::to_string(5 + k) + "}");
+        ASSERT_TRUE(posted.ok()) << posted.status().ToString();
+        ASSERT_EQ(posted->status, 202) << posted->body;
+        if (life == 1 && k == 0) {
+          // The ticket sequence continues across the restart.
+          EXPECT_EQ(*ExtractJsonNumber(posted->body, "ticket"),
+                    static_cast<double>(drained.next_ticket));
+        }
+      }
+      server.Stop();
+      drained = server.ExportBook();
+      EXPECT_EQ(drained.entries.size(), life == 0 ? 3u : 6u);
+      // mroam_serve's drain: a copy of the boot file with this book.
+      ASSERT_TRUE(io::ResaveIndexSnapshot(path, path, *index, drained).ok());
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 TEST_F(MarketServerTest, StopIsIdempotentAndRestartIsRejectedCleanly) {

@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/solver.h"
 #include "gen/city_generators.h"
+#include "influence/coverage_counter.h"
 #include "io/mmap_snapshot.h"
 #include "market/contract_book.h"
 #include "test_util.h"
@@ -39,10 +40,16 @@ class SnapshotIoTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
+  /// A dataset and the index built over it.
+  struct City {
+    model::Dataset dataset;
+    influence::InfluenceIndex index;
+  };
+
   /// A small generated city: nontrivial doubles (times, jittered
   /// coordinates) so bit-exactness is actually exercised.
-  IndexSnapshot MakeCity() {
-    IndexSnapshot made;
+  City MakeCity() {
+    City made;
     gen::NycLikeConfig config;
     config.num_billboards = 80;
     config.num_trajectories = 1500;
@@ -54,7 +61,7 @@ class SnapshotIoTest : public ::testing::Test {
 
   /// A snapshot of the city.
   std::string SavedCityPath() {
-    IndexSnapshot city = MakeCity();
+    City city = MakeCity();
     std::string path = PathFor("city.snap");
     EXPECT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index).ok());
     return path;
@@ -169,63 +176,154 @@ class SnapshotIoTest : public ::testing::Test {
     return {};
   }
 
+  /// A hand-framed snapshot holding incidences no Build makes: `covered`
+  /// lists compacted ids in [0, universe), `dataset_ids` names them in a
+  /// dataset of `num_trajectories`, every billboard sits at the origin and
+  /// every trajectory is one point there.
+  static std::string AssembleSnapshot(
+      const std::vector<std::vector<int32_t>>& covered, int32_t universe,
+      const std::vector<int32_t>& dataset_ids, uint32_t num_trajectories) {
+    std::vector<std::vector<int32_t>> covering(
+        static_cast<size_t>(universe));
+    for (size_t o = 0; o < covered.size(); ++o) {
+      for (int32_t t : covered[o]) {
+        covering[static_cast<size_t>(t)].push_back(static_cast<int32_t>(o));
+      }
+    }
+    std::string file(kSnapshotMagic, sizeof(kSnapshotMagic));
+    wire::PutU32(&file, kSnapshotVersion);
+    auto append = [&file](SnapshotSection id, std::string_view payload) {
+      const size_t header_end = file.size() + kSnapshotSectionHeaderBytesV2;
+      const size_t pad =
+          (wire::kSectionAlignmentV2 -
+           header_end % wire::kSectionAlignmentV2) %
+          wire::kSectionAlignmentV2;
+      wire::PutU32(&file, static_cast<uint32_t>(id));
+      wire::PutU32(&file, static_cast<uint32_t>(pad));
+      wire::PutU64(&file, payload.size());
+      file.append(pad, '\0');
+      file.append(payload);
+      wire::PutU32(&file, common::Crc32(payload));
+    };
+    const auto boards = static_cast<uint32_t>(covered.size());
+    std::string meta;
+    wire::PutString(&meta, "assembled");
+    wire::PutF64(&meta, 1.0);
+    wire::PutU32(&meta, boards);
+    wire::PutU32(&meta, num_trajectories);
+    std::string billboards;
+    wire::PutU32(&billboards, boards);
+    billboards.append(size_t{boards} * 24, '\0');
+    std::string trajectories;
+    wire::PutU32(&trajectories, num_trajectories);
+    for (uint32_t t = 0; t < num_trajectories; ++t) {
+      trajectories.append(16, '\0');  // start and travel time
+      wire::PutU32(&trajectories, 1);
+      trajectories.append(16, '\0');  // the point
+    }
+    append(SnapshotSection::kMeta, meta);
+    append(SnapshotSection::kBillboards, billboards);
+    append(SnapshotSection::kTrajectories, trajectories);
+    append(SnapshotSection::kCompressedIncidence,
+           cindex::CompressedPostings::Build(covered, universe).bytes());
+    append(SnapshotSection::kCompressedCovering,
+           cindex::CompressedPostings::Build(covering,
+                                             static_cast<int32_t>(boards))
+               .bytes());
+    append(SnapshotSection::kCoveredIds,
+           cindex::CompressedPostings::Build(
+               {dataset_ids}, static_cast<int32_t>(num_trajectories))
+               .bytes());
+    append(SnapshotSection::kEnd, "");
+    return file;
+  }
+
+  /// Both boots' verdict on `data`, written to a scratch file.
+  void ExpectBothBootsFail(const std::string& data, StatusCode code,
+                           const std::string& message) {
+    const std::string path = PathFor("assembled.snap");
+    WriteBytes(path, data);
+    auto loaded = LoadIndexSnapshot(path);
+    EXPECT_EQ(loaded.status().code(), code) << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(message), std::string::npos)
+        << loaded.status().ToString();
+    auto mapped = MappedSnapshot::Map(path);
+    EXPECT_EQ(mapped.status().code(), code) << mapped.status().ToString();
+    EXPECT_NE(mapped.status().message().find(message), std::string::npos)
+        << mapped.status().ToString();
+  }
+
   std::filesystem::path dir_;
 };
 
 TEST_F(SnapshotIoTest, RoundTripIsBitExact) {
-  IndexSnapshot city = MakeCity();
+  City city = MakeCity();
+  // Some trajectories meet no board, so the round trip crosses a real
+  // compaction of the universe.
+  ASSERT_LT(city.index.num_covered(), city.index.num_trajectories());
   std::string path = PathFor("roundtrip.snap");
   ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index).ok());
 
   auto loaded = LoadIndexSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  EXPECT_EQ(loaded->dataset.name, city.dataset.name);
-  ASSERT_EQ(loaded->dataset.billboards.size(),
-            city.dataset.billboards.size());
-  for (size_t i = 0; i < city.dataset.billboards.size(); ++i) {
-    const model::Billboard& a = city.dataset.billboards[i];
-    const model::Billboard& b = loaded->dataset.billboards[i];
-    EXPECT_EQ(b.id, a.id);
-    // Bit-exact, not approximately-equal: the format stores IEEE-754
-    // bit patterns.
-    EXPECT_EQ(std::bit_cast<uint64_t>(b.location.x),
-              std::bit_cast<uint64_t>(a.location.x));
-    EXPECT_EQ(std::bit_cast<uint64_t>(b.location.y),
-              std::bit_cast<uint64_t>(a.location.y));
-    EXPECT_EQ(std::bit_cast<uint64_t>(b.cost),
-              std::bit_cast<uint64_t>(a.cost));
-  }
-  ASSERT_EQ(loaded->dataset.trajectories.size(),
-            city.dataset.trajectories.size());
-  for (size_t t = 0; t < city.dataset.trajectories.size(); ++t) {
-    const model::Trajectory& a = city.dataset.trajectories[t];
-    const model::Trajectory& b = loaded->dataset.trajectories[t];
-    EXPECT_EQ(b.id, a.id);
-    EXPECT_EQ(std::bit_cast<uint64_t>(b.start_time_seconds),
-              std::bit_cast<uint64_t>(a.start_time_seconds));
-    EXPECT_EQ(std::bit_cast<uint64_t>(b.travel_time_seconds),
-              std::bit_cast<uint64_t>(a.travel_time_seconds));
-    ASSERT_EQ(b.points.size(), a.points.size());
-    for (size_t k = 0; k < a.points.size(); ++k) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(b.points[k].x),
-                std::bit_cast<uint64_t>(a.points[k].x));
-      EXPECT_EQ(std::bit_cast<uint64_t>(b.points[k].y),
-                std::bit_cast<uint64_t>(a.points[k].y));
-    }
-  }
-
   EXPECT_EQ(loaded->index.num_billboards(), city.index.num_billboards());
   EXPECT_EQ(loaded->index.num_trajectories(),
             city.index.num_trajectories());
-  EXPECT_DOUBLE_EQ(loaded->index.lambda(), city.index.lambda());
+  EXPECT_EQ(loaded->index.num_covered(), city.index.num_covered());
+  EXPECT_EQ(std::bit_cast<uint64_t>(loaded->index.lambda()),
+            std::bit_cast<uint64_t>(city.index.lambda()));
   EXPECT_EQ(loaded->index.TotalSupply(), city.index.TotalSupply());
   EXPECT_EQ(loaded->index.covered(), city.index.covered());
   EXPECT_EQ(loaded->index.covering(), city.index.covering());
+  EXPECT_EQ(loaded->index.dataset_ids(), city.index.dataset_ids());
+}
+
+TEST_F(SnapshotIoTest, DatasetSectionsHoldTheDatasetBitForBit) {
+  // No boot decodes the dataset, so read its sections back here: every
+  // double is stored as its IEEE-754 bit pattern.
+  City city = MakeCity();
+  std::string path = PathFor("dataset.snap");
+  ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index).ok());
+  const std::string data = ReadBytes(path);
+  auto bits = [](wire::Cursor* cur) {
+    auto v = cur->GetU64();
+    EXPECT_TRUE(v.ok());
+    return v.ok() ? *v : 0;
+  };
+
+  SectionSpanV2 span = FindSectionV2(data, SnapshotSection::kBillboards);
+  wire::Cursor billboards(
+      std::string_view(data).substr(span.payload_offset, span.payload_length),
+      "billboards");
+  ASSERT_EQ(*billboards.GetU32(), city.dataset.billboards.size());
+  for (const model::Billboard& b : city.dataset.billboards) {
+    EXPECT_EQ(bits(&billboards), std::bit_cast<uint64_t>(b.location.x));
+    EXPECT_EQ(bits(&billboards), std::bit_cast<uint64_t>(b.location.y));
+    EXPECT_EQ(bits(&billboards), std::bit_cast<uint64_t>(b.cost));
+  }
+  EXPECT_EQ(billboards.remaining(), 0u);
+
+  span = FindSectionV2(data, SnapshotSection::kTrajectories);
+  wire::Cursor trajectories(
+      std::string_view(data).substr(span.payload_offset, span.payload_length),
+      "trajectories");
+  ASSERT_EQ(*trajectories.GetU32(), city.dataset.trajectories.size());
+  for (const model::Trajectory& t : city.dataset.trajectories) {
+    EXPECT_EQ(bits(&trajectories),
+              std::bit_cast<uint64_t>(t.start_time_seconds));
+    EXPECT_EQ(bits(&trajectories),
+              std::bit_cast<uint64_t>(t.travel_time_seconds));
+    ASSERT_EQ(*trajectories.GetU32(), t.points.size());
+    for (const geo::Point& p : t.points) {
+      EXPECT_EQ(bits(&trajectories), std::bit_cast<uint64_t>(p.x));
+      EXPECT_EQ(bits(&trajectories), std::bit_cast<uint64_t>(p.y));
+    }
+  }
+  EXPECT_EQ(trajectories.remaining(), 0u);
 }
 
 TEST_F(SnapshotIoTest, LoadedIndexReproducesSolverOutputExactly) {
-  IndexSnapshot city = MakeCity();
+  City city = MakeCity();
   std::string path = PathFor("solver.snap");
   ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index).ok());
   auto loaded = LoadIndexSnapshot(path);
@@ -256,7 +354,7 @@ TEST_F(SnapshotIoTest, SaveRefusesEmptyDataset) {
 }
 
 TEST_F(SnapshotIoTest, SaveRefusesMismatchedIndex) {
-  IndexSnapshot city = MakeCity();
+  City city = MakeCity();
   model::Dataset other = testing::DatasetFromIncidence({{0}, {1}}, 2);
   common::Status status =
       SaveIndexSnapshot(PathFor("mismatch.snap"), other, city.index);
@@ -264,7 +362,7 @@ TEST_F(SnapshotIoTest, SaveRefusesMismatchedIndex) {
 }
 
 TEST_F(SnapshotIoTest, SaveCreatesParentDirectories) {
-  IndexSnapshot city = MakeCity();
+  City city = MakeCity();
   std::string path = PathFor("deep/nested/dirs/city.snap");
   ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index).ok());
   EXPECT_TRUE(LoadIndexSnapshot(path).ok());
@@ -383,7 +481,7 @@ TEST_F(SnapshotIoTest, ReservedSectionIdsAreUnknown) {
 TEST_F(SnapshotIoTest, SaveRefusesCompressedIndex) {
   // The writer encodes from plain lists; a FromCompressed index (the
   // --mmap serving shape) has none.
-  IndexSnapshot city = MakeCity();
+  City city = MakeCity();
   common::Status status =
       SaveIndexSnapshot(PathFor("compressed.snap"), city.dataset,
                         testing::CompressedTwin(city.index));
@@ -392,23 +490,80 @@ TEST_F(SnapshotIoTest, SaveRefusesCompressedIndex) {
 }
 
 TEST_F(SnapshotIoTest, ResaveOfLoadedSnapshotIsByteIdentical) {
-  // The encoder is deterministic: a loaded snapshot re-saves to the very
-  // bytes it was read from.
-  IndexSnapshot city = MakeCity();
+  // Neither boot keeps the dataset, yet re-saving either boot with the
+  // book it booted reproduces the very bytes it was read from.
+  City city = MakeCity();
   std::string first = PathFor("first.snap");
   ASSERT_TRUE(
       SaveIndexSnapshot(first, city.dataset, city.index, MakeBook()).ok());
   auto loaded = LoadIndexSnapshot(first);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   std::string second = PathFor("second.snap");
-  ASSERT_TRUE(SaveIndexSnapshot(second, loaded->dataset, loaded->index,
-                                loaded->book)
-                  .ok());
+  ASSERT_TRUE(
+      ResaveIndexSnapshot(first, second, loaded->index, loaded->book).ok());
   EXPECT_EQ(ReadBytes(second), ReadBytes(first));
+
+  auto mapped = MappedSnapshot::Map(first);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  std::string third = PathFor("third.snap");
+  ASSERT_TRUE(
+      ResaveIndexSnapshot(first, third, mapped->index(), mapped->book())
+          .ok());
+  EXPECT_EQ(ReadBytes(third), ReadBytes(first));
+}
+
+TEST_F(SnapshotIoTest, ResaveInPlaceCopiesEverySectionButTheBook) {
+  City city = MakeCity();
+  std::string path = PathFor("inplace.snap");
+  ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index).ok());
+  const std::string before = ReadBytes(path);
+  auto mapped = MappedSnapshot::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const market::ContractBook book = MakeBook();
+  ASSERT_TRUE(ResaveIndexSnapshot(path, path, mapped->index(), book).ok());
+
+  const std::string after = ReadBytes(path);
+  for (SnapshotSection section :
+       {SnapshotSection::kMeta, SnapshotSection::kBillboards,
+        SnapshotSection::kTrajectories, SnapshotSection::kCompressedIncidence,
+        SnapshotSection::kCompressedCovering, SnapshotSection::kCoveredIds}) {
+    const SectionSpanV2 old_span = FindSectionV2(before, section);
+    const SectionSpanV2 new_span = FindSectionV2(after, section);
+    EXPECT_EQ(new_span.payload_offset, old_span.payload_offset);
+    EXPECT_EQ(after.substr(new_span.header_offset,
+                           new_span.crc_offset + 4 - new_span.header_offset),
+              before.substr(old_span.header_offset,
+                            old_span.crc_offset + 4 - old_span.header_offset))
+        << "section " << static_cast<uint32_t>(section);
+  }
+  auto loaded = LoadIndexSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectBooksEqual(loaded->book, book);
+  EXPECT_EQ(loaded->index.covered(), city.index.covered());
+  auto remapped = MappedSnapshot::Map(path);
+  ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
+  ExpectBooksEqual(remapped->book(), book);
+}
+
+TEST_F(SnapshotIoTest, ResaveRefusesASourceThatDoesNotHoldTheIndex) {
+  City city = MakeCity();
+  std::string path = PathFor("source.snap");
+  ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index).ok());
+  const influence::InfluenceIndex other =
+      influence::InfluenceIndex::Build(city.dataset, 90.0);
+  common::Status status = ResaveIndexSnapshot(path, PathFor("copy.snap"),
+                                              other, MakeBook());
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_FALSE(std::filesystem::exists(PathFor("copy.snap")));
+  EXPECT_EQ(ResaveIndexSnapshot(PathFor("absent.snap"), PathFor("copy.snap"),
+                                city.index, MakeBook())
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(SnapshotIoTest, V2RoundTripRestoresContractBook) {
-  IndexSnapshot city = MakeCity();
+  City city = MakeCity();
   std::string path = PathFor("book.snap");
   market::ContractBook book = MakeBook();
   ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index, book).ok());
@@ -426,7 +581,8 @@ TEST_F(SnapshotIoTest, V2PayloadsAre64ByteAligned) {
   for (SnapshotSection section :
        {SnapshotSection::kMeta, SnapshotSection::kBillboards,
         SnapshotSection::kTrajectories, SnapshotSection::kCompressedIncidence,
-        SnapshotSection::kCompressedCovering, SnapshotSection::kContractBook}) {
+        SnapshotSection::kCompressedCovering, SnapshotSection::kCoveredIds,
+        SnapshotSection::kContractBook}) {
     SectionSpanV2 span = FindSectionV2(data, section);
     EXPECT_EQ(span.payload_offset % wire::kSectionAlignmentV2, 0u)
         << "section " << static_cast<uint32_t>(section);
@@ -488,7 +644,7 @@ TEST_F(SnapshotIoTest, V2RejectsResignedPostingsForgery) {
 // --- atomic save ---------------------------------------------------------
 
 TEST_F(SnapshotIoTest, FaultedSaveLeavesExistingSnapshotIntact) {
-  IndexSnapshot city = MakeCity();
+  City city = MakeCity();
   std::string path = PathFor("atomic.snap");
   ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index).ok());
   const std::string before = ReadBytes(path);
@@ -511,7 +667,7 @@ TEST_F(SnapshotIoTest, FaultedSaveLeavesExistingSnapshotIntact) {
 }
 
 TEST_F(SnapshotIoTest, FaultedSaveToFreshPathPublishesNothing) {
-  IndexSnapshot city = MakeCity();
+  City city = MakeCity();
   std::string path = PathFor("never_published.snap");
   auto& injector = common::FaultInjector::Global();
   ASSERT_TRUE(injector.ArmFromSpec("seed=1;io.snapshot_write=1.0").ok());
@@ -522,10 +678,26 @@ TEST_F(SnapshotIoTest, FaultedSaveToFreshPathPublishesNothing) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
+TEST_F(SnapshotIoTest, FaultedResaveLeavesExistingSnapshotIntact) {
+  // The re-save goes through the same atomic writer and fault point.
+  std::string path = SavedCityPath();
+  const std::string before = ReadBytes(path);
+  auto loaded = LoadIndexSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto& injector = common::FaultInjector::Global();
+  ASSERT_TRUE(injector.ArmFromSpec("seed=1;io.snapshot_write=1.0").ok());
+  common::Status faulted =
+      ResaveIndexSnapshot(path, path, loaded->index, MakeBook());
+  injector.Disarm();
+  EXPECT_EQ(faulted.code(), StatusCode::kIoError);
+  EXPECT_NE(faulted.message().find("fault injection"), std::string::npos);
+  EXPECT_EQ(ReadBytes(path), before);
+}
+
 // --- zero-copy mapping ---------------------------------------------------
 
 TEST_F(SnapshotIoTest, MappedSnapshotServesTheSameIndexZeroCopy) {
-  IndexSnapshot city = MakeCity();
+  City city = MakeCity();
   std::string path = PathFor("mapped.snap");
   market::ContractBook book = MakeBook();
   ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index, book).ok());
@@ -539,6 +711,10 @@ TEST_F(SnapshotIoTest, MappedSnapshotServesTheSameIndexZeroCopy) {
   EXPECT_FALSE(index.has_plain());
   EXPECT_EQ(index.num_billboards(), city.index.num_billboards());
   EXPECT_EQ(index.num_trajectories(), city.index.num_trajectories());
+  EXPECT_EQ(index.num_covered(), city.index.num_covered());
+  std::vector<model::TrajectoryId> ids;
+  index.ForEachDatasetId([&ids](model::TrajectoryId t) { ids.push_back(t); });
+  EXPECT_EQ(ids, city.index.dataset_ids());
   EXPECT_EQ(index.TotalSupply(), city.index.TotalSupply());
   EXPECT_DOUBLE_EQ(index.lambda(), city.index.lambda());
   for (int32_t o = 0; o < index.num_billboards(); ++o) {
@@ -568,7 +744,7 @@ TEST_F(SnapshotIoTest, MappedSnapshotServesTheSameIndexZeroCopy) {
 }
 
 TEST_F(SnapshotIoTest, MappedSnapshotSurvivesMoves) {
-  IndexSnapshot city = MakeCity();
+  City city = MakeCity();
   std::string path = PathFor("moved.snap");
   ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index).ok());
   auto mapped = MappedSnapshot::Map(path);
@@ -619,6 +795,68 @@ TEST_F(SnapshotIoTest, MapFaultPointFailsTyped) {
   EXPECT_NE(faulted.status().message().find("fault injection"),
             std::string::npos);
   EXPECT_TRUE(MappedSnapshot::Map(path).ok());
+}
+
+TEST_F(SnapshotIoTest, DirectoryIsATypedErrorOnBothBoots) {
+  // A directory opens fine but is no snapshot: both boots refuse it with
+  // a status instead of reading it.
+  auto loaded = LoadIndexSnapshot(dir_.string());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("not a regular file"),
+            std::string::npos)
+      << loaded.status().ToString();
+  EXPECT_EQ(MappedSnapshot::Map(dir_.string()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(SnapshotIoTest, CoveringCountsMustFitOneByte) {
+  // 255 boards covering one trajectory is the most a one-byte count
+  // holds: both boots serve it, and a counter holding every board counts
+  // 255. One board more is outside input that both boots refuse.
+  std::vector<std::vector<int32_t>> covered(influence::kMaxCoveringBoards,
+                                            {0});
+  const std::string path = PathFor("full.snap");
+  WriteBytes(path, AssembleSnapshot(covered, 1, {3}, 5));
+  auto loaded = LoadIndexSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto mapped = MappedSnapshot::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const influence::InfluenceIndex* booted[] = {&loaded->index,
+                                               &mapped->index()};
+  for (const influence::InfluenceIndex* index : booted) {
+    EXPECT_EQ(index->num_covered(), 1);
+    EXPECT_EQ(index->num_trajectories(), 5);
+    influence::CoverageCounter counter(index, influence::kMaxCoveringBoards);
+    for (int32_t o = 0; o < index->num_billboards(); ++o) counter.Add(o);
+    EXPECT_EQ(counter.CountOf(0), influence::kMaxCoveringBoards);
+    EXPECT_EQ(counter.influence(), 1);
+  }
+
+  covered.push_back({0});
+  ExpectBothBootsFail(AssembleSnapshot(covered, 1, {3}, 5),
+                      StatusCode::kDataLoss, "covered by more than 255");
+}
+
+TEST_F(SnapshotIoTest, CoveredIdsMustNameTheCompactedUniverse) {
+  // One id for a universe of two trajectories.
+  ExpectBothBootsFail(AssembleSnapshot({{0, 1}}, 2, {4}, 6),
+                      StatusCode::kDataLoss, "covered-id list");
+  // A universe trajectory no board covers has no place in it.
+  ExpectBothBootsFail(AssembleSnapshot({{0}}, 2, {1, 4}, 6),
+                      StatusCode::kDataLoss, "covered by no board");
+  // The well-formed file loads on both boots and maps ids back.
+  const std::string path = PathFor("ids.snap");
+  WriteBytes(path, AssembleSnapshot({{0, 1}, {1}}, 2, {1, 4}, 6));
+  auto loaded = LoadIndexSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->index.dataset_ids(),
+            (std::vector<model::TrajectoryId>{1, 4}));
+  auto mapped = MappedSnapshot::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  std::vector<model::TrajectoryId> ids;
+  mapped->index().ForEachDatasetId(
+      [&ids](model::TrajectoryId t) { ids.push_back(t); });
+  EXPECT_EQ(ids, (std::vector<model::TrajectoryId>{1, 4}));
 }
 
 }  // namespace

@@ -55,7 +55,8 @@ TEST(BuildTemporalMarketTest, OneSlotReproducesTheStaticModel) {
   auto static_index = influence::InfluenceIndex::Build(d, 1.0);
   ASSERT_EQ(market.index.num_billboards(), static_index.num_billboards());
   for (int32_t o = 0; o < static_index.num_billboards(); ++o) {
-    EXPECT_EQ(market.index.CoveredBy(o), static_index.CoveredBy(o));
+    EXPECT_EQ(testing::DatasetIdsCoveredBy(market.index, o),
+              testing::DatasetIdsCoveredBy(static_index, o));
   }
   EXPECT_EQ(market.slots[0].window.end_seconds, 86400.0);
 }
@@ -69,14 +70,14 @@ TEST(BuildTemporalMarketTest, SlotsFilterByTime) {
   ASSERT_EQ(market.index.num_billboards(), 4);
   ASSERT_EQ(market.slots.size(), 4u);
   // Billboard 0, morning slot: trajectories 0 and 1.
-  EXPECT_EQ(market.index.CoveredBy(0),
+  EXPECT_EQ(testing::DatasetIdsCoveredBy(market.index, 0),
             (std::vector<model::TrajectoryId>{0, 1}));
   // Billboard 0, evening slot: trajectory 2.
-  EXPECT_EQ(market.index.CoveredBy(1),
+  EXPECT_EQ(testing::DatasetIdsCoveredBy(market.index, 1),
             (std::vector<model::TrajectoryId>{2}));
   // Billboard 1: afternoon audience is in the second slot only.
   EXPECT_TRUE(market.index.CoveredBy(2).empty());
-  EXPECT_EQ(market.index.CoveredBy(3),
+  EXPECT_EQ(testing::DatasetIdsCoveredBy(market.index, 3),
             (std::vector<model::TrajectoryId>{3}));
   // Slot metadata lines up.
   EXPECT_EQ(market.slots[1].base_billboard, 0);

@@ -61,17 +61,30 @@ inline influence::InfluenceIndex IndexFromIncidence(
   return index;
 }
 
-/// The compressed twin of a plain-list index: both directions encoded
-/// with the snapshot writer's codec and served through FromCompressed —
-/// the shape an mmap-booted server runs on, without the file.
+/// The compressed twin of a plain-list index: both directions and the
+/// covered dataset ids encoded with the snapshot writer's codec and served
+/// through FromCompressed — the shape an mmap-booted server runs on,
+/// without the file.
 inline influence::InfluenceIndex CompressedTwin(
     const influence::InfluenceIndex& plain) {
   return influence::InfluenceIndex::FromCompressed(
-      cindex::CompressedPostings::Build(plain.covered(),
-                                        plain.num_trajectories()),
+      cindex::CompressedPostings::Build(plain.covered(), plain.num_covered()),
       cindex::CompressedPostings::Build(plain.covering(),
                                         plain.num_billboards()),
+      cindex::CompressedPostings::Build({plain.dataset_ids()},
+                                        plain.num_trajectories()),
       plain.lambda());
+}
+
+/// Board `o`'s incidence list in dataset ids: the index lists compacted
+/// ids, and dataset_ids() maps them back.
+inline std::vector<model::TrajectoryId> DatasetIdsCoveredBy(
+    const influence::InfluenceIndex& index, model::BillboardId o) {
+  std::vector<model::TrajectoryId> ids;
+  for (model::TrajectoryId t : index.CoveredBy(o)) {
+    ids.push_back(index.dataset_ids()[static_cast<size_t>(t)]);
+  }
+  return ids;
 }
 
 /// Shorthand advertiser constructor.
