@@ -1,7 +1,7 @@
 // Ablation study of the local-search design choices (DESIGN.md §3):
 //   (a) randomized restarts (Algorithm 3) vs a single deterministic start;
 //   (b) the improvement ratio r of Definition 6.1;
-//   (c) the exchange-candidate sampling cap (our efficiency knob).
+//   (c) first- vs best-improvement exchange scans.
 // All runs use BLS on the NYC-like city at the Table 6 defaults. Timing
 // comes from the solver's own telemetry (SolveResult::report) rather than
 // ad-hoc stopwatches, so the table and BENCH_ablation_local_search.json
@@ -41,11 +41,10 @@ int main() {
   core::LocalSearchConfig base;
   base.restarts = 2;
   base.max_sweeps = 4;
-  base.max_exchange_candidates = 300;
 
   std::vector<Variant> variants;
   {
-    Variant v{"baseline (2 restarts, r=0, cap=300)", base};
+    Variant v{"baseline (2 restarts, r=0)", base};
     variants.push_back(v);
   }
   {
@@ -61,16 +60,6 @@ int main() {
   {
     Variant v{"improvement ratio r=0.01", base};
     v.config.improvement_ratio = 0.01;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"exchange cap 50 (aggressive sampling)", base};
-    v.config.max_exchange_candidates = 50;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"exchange cap 2000 (near-exhaustive)", base};
-    v.config.max_exchange_candidates = 2000;
     variants.push_back(v);
   }
   {

@@ -1,7 +1,10 @@
 #include "bench_common.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "bench_report.h"
 #include "common/strings.h"
@@ -15,17 +18,20 @@ const char* CityName(City city) {
 BenchScale ScaleFromEnv() {
   BenchScale scale;
   const char* env = std::getenv("MROAM_BENCH_SCALE");
-  if (env != nullptr) {
-    auto factor = common::ParseDouble(env);
-    if (factor.ok() && *factor > 0.0) {
-      scale.nyc_trajectories = std::max(
-          200, static_cast<int32_t>(scale.nyc_trajectories * *factor));
-      scale.sg_trajectories = std::max(
-          200, static_cast<int32_t>(scale.sg_trajectories * *factor));
-    } else {
-      std::cerr << "ignoring invalid MROAM_BENCH_SCALE='" << env << "'\n";
-    }
+  if (env == nullptr) return scale;
+  auto factor = common::ParseDouble(env);
+  // Both scaled counts must fit int32_t.
+  const double largest =
+      std::max(scale.nyc_trajectories, scale.sg_trajectories);
+  if (!factor.ok() || !std::isfinite(*factor) || *factor <= 0.0 ||
+      *factor * largest > std::numeric_limits<int32_t>::max()) {
+    std::cerr << "ignoring invalid MROAM_BENCH_SCALE='" << env << "'\n";
+    return scale;
   }
+  scale.nyc_trajectories = std::max(
+      200, static_cast<int32_t>(scale.nyc_trajectories * *factor));
+  scale.sg_trajectories = std::max(
+      200, static_cast<int32_t>(scale.sg_trajectories * *factor));
   return scale;
 }
 
@@ -65,7 +71,6 @@ eval::ExperimentConfig DefaultExperimentConfig() {
   config.regret.gamma = 0.5;                       // Table 6 default
   config.local_search.restarts = 3;
   config.local_search.max_sweeps = 6;
-  config.local_search.max_exchange_candidates = 500;
   config.local_search.num_threads = ThreadsFromEnv();
   config.workload_seed = 7;
   config.solver_seed = 42;

@@ -26,7 +26,9 @@ struct BenchScale {
   int32_t sg_trajectories = 80000;
 };
 
-/// Reads MROAM_BENCH_SCALE and applies it to the defaults.
+/// Reads MROAM_BENCH_SCALE and applies it to the defaults. A value that is
+/// not a positive finite number, or that would scale a count past
+/// INT32_MAX, is ignored with a warning on stderr.
 BenchScale ScaleFromEnv();
 
 /// Reads MROAM_BENCH_THREADS — the `num_threads` knob the benches pass to
@@ -44,7 +46,7 @@ influence::InfluenceIndex MakeIndex(const model::Dataset& dataset,
 
 /// Experiment defaults shared by every figure bench: Table 6 defaults
 /// (alpha=100%, p=5%, gamma=0.5) plus bounded local-search effort
-/// (restarts=2, sweeps<=4, 300 sampled exchange candidates per pair).
+/// (3 restarts, at most 6 BLS sweeps).
 eval::ExperimentConfig DefaultExperimentConfig();
 
 /// Prints the standard bench banner: dataset, scale, Table 6 defaults.

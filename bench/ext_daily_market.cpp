@@ -36,7 +36,6 @@ int main() {
     config.solver.method = core::Method::kBls;
     config.solver.local_search.restarts = 2;
     config.solver.local_search.max_sweeps = 4;
-    config.solver.local_search.max_exchange_candidates = 300;
     core::DailyMarket market(&index, config);
 
     // Same arrival stream for both policies.

@@ -88,17 +88,16 @@ void RunGreedyBench(benchmark::State& state, GreedyFn greedy) {
   ReportSelectionCounters(state, before);
 }
 
-// The "Naive" names date from when a lazy selector ran beside the
-// exhaustive scan; the tier-1 gate keys its greedy.deltas ceilings on them.
-void BM_BudgetEffectiveGreedyNaive(benchmark::State& state) {
+// The tier-1 gate keys its greedy.deltas ceilings on these names.
+void BM_BudgetEffectiveGreedy(benchmark::State& state) {
   RunGreedyBench(state, core::BudgetEffectiveGreedy);
 }
-BENCHMARK(BM_BudgetEffectiveGreedyNaive)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BudgetEffectiveGreedy)->Unit(benchmark::kMillisecond);
 
-void BM_SynchronousGreedyNaive(benchmark::State& state) {
+void BM_SynchronousGreedy(benchmark::State& state) {
   RunGreedyBench(state, core::SynchronousGreedy);
 }
-BENCHMARK(BM_SynchronousGreedyNaive)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SynchronousGreedy)->Unit(benchmark::kMillisecond);
 
 void BM_AdvertiserDrivenLocalSearch(benchmark::State& state) {
   Fixture& f = TheFixture();
@@ -113,28 +112,11 @@ void BM_AdvertiserDrivenLocalSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_AdvertiserDrivenLocalSearch)->Unit(benchmark::kMillisecond);
 
-void BM_BillboardDrivenLocalSearch(benchmark::State& state) {
-  Fixture& f = TheFixture();
-  core::Assignment greedy(&f.index, f.advertisers, core::RegretParams{0.5});
-  core::SynchronousGreedy(&greedy);
-  for (auto _ : state) {
-    core::Assignment s = greedy;
-    core::LocalSearchConfig config;
-    config.max_sweeps = 2;
-    config.max_exchange_candidates = 200;
-    common::Rng rng(3);
-    core::BillboardDrivenLocalSearch(&s, config, &rng);
-    benchmark::DoNotOptimize(s.TotalRegret());
-  }
-}
-BENCHMARK(BM_BillboardDrivenLocalSearch)->Unit(benchmark::kMillisecond);
-
-// Exhaustive BLS (max_exchange_candidates = 0, the paper's neighborhood
-// and what DailyMarket runs) from the SynchronousGreedy plan. Moves 1-2
-// are scored from per-scan tables here; the capped bench above samples
-// pair by pair. bls.deltas_evaluated and the plan's Eq. 1 regret are
-// deterministic per fixture, so check_bls_regression gates both as exact
-// ceilings: a faster scan that finds a worse plan fails.
+// BLS (the paper's whole neighborhood, as DailyMarket runs it) from the
+// SynchronousGreedy plan, with moves 1-2 scored from per-scan tables.
+// bls.deltas_evaluated and the plan's Eq. 1 regret are deterministic per
+// fixture, so check_bls_regression gates both as exact ceilings: a faster
+// scan that finds a worse plan fails.
 void RunExhaustiveBlsBench(benchmark::State& state, const Fixture& f) {
   core::Assignment greedy(&f.index, f.advertisers, core::RegretParams{0.5});
   core::SynchronousGreedy(&greedy);
@@ -143,8 +125,7 @@ void RunExhaustiveBlsBench(benchmark::State& state, const Fixture& f) {
   for (auto _ : state) {
     core::Assignment s = greedy;
     core::LocalSearchConfig config;
-    common::Rng rng(3);
-    stats = core::BillboardDrivenLocalSearch(&s, config, &rng);
+    stats = core::BillboardDrivenLocalSearch(&s, config);
     benchmark::DoNotOptimize(s.TotalRegret());
     regret = s.Breakdown().total;
   }

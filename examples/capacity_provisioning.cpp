@@ -78,7 +78,6 @@ int main() {
     config.method = method;
     config.regret.gamma = 0.5;
     config.local_search.restarts = 2;
-    config.local_search.max_exchange_candidates = 400;
     core::SolveResult result = core::Solve(coverage, operators, config);
     std::cout << core::MethodName(method) << ": regret "
               << common::FormatDouble(result.breakdown.total, 0) << " ("

@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   config.workload.avg_individual_demand_ratio = 0.05;
   config.regret.gamma = 0.5;
   config.local_search.restarts = 2;
-  config.local_search.max_exchange_candidates = 500;
   config.local_search.max_sweeps = 8;
 
   std::vector<eval::ExperimentPoint> points;

@@ -53,7 +53,6 @@ int main() {
   config.workload.alpha = 1.0;
   config.regret.gamma = 0.5;
   config.local_search.restarts = 2;
-  config.local_search.max_exchange_candidates = 500;
   config.local_search.max_sweeps = 8;
 
   std::vector<eval::ExperimentPoint> points;

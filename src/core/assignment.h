@@ -141,7 +141,8 @@ class Assignment {
   double DeltaRelease(model::BillboardId o) const;
 
   /// Exchange assigned billboards `om` and `on` across their (distinct)
-  /// owners (BLS move 1).
+  /// owners (BLS move 1). BLS scores its scans from MoveScanTables; this
+  /// and DeltaReplace are their per-pair reference (DCHECKs and tests).
   double DeltaExchangeAcross(model::BillboardId om,
                              model::BillboardId on) const;
 

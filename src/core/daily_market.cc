@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "core/greedy.h"
 #include "obs/metrics.h"
@@ -236,11 +235,7 @@ void DailyMarket::ReplanIncremental(
     common::Stopwatch search_watch;
     LocalSearchConfig search = config_.solver.local_search;
     search.max_sweeps = config_.incremental.local_search_sweeps;
-    // A per-day stream keeps sampled candidate scans reproducible without
-    // coupling consecutive days.
-    common::Rng rng(config_.solver.seed ^
-                    (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(day_)));
-    BillboardDrivenLocalSearchOver(&state, targets, search, &rng);
+    BillboardDrivenLocalSearchOver(&state, targets, search);
     result->report.AddPhase("local_search", search_watch.ElapsedSeconds());
   }
 

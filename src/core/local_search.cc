@@ -200,45 +200,19 @@ bool NoColumnAccepts(const Assignment& s, AdvertiserId j, BillboardId om,
 /// Scans (o_m, o_n) in S_i × S_j (move 1) or, with j == kNoAdvertiser,
 /// S_i × the free pool (move 2) and picks the first accepted candidate, or
 /// the best under config.best_improvement. The scan mutates nothing — the
-/// caller applies the pick — so it walks the live lists. A scan with more
-/// pairs than a positive config.max_exchange_candidates samples that many
-/// pairs through the Delta* queries; every other scan is exhaustive, in
-/// the paper's order, and scored from `tables`, skipping each row whose
+/// caller applies the pick — so it walks the live lists. It is exhaustive,
+/// in the paper's order, and scored from `tables`, skipping each row whose
 /// CoarseRowBound or else RowBound fails the acceptance test: no column
 /// of it could pass.
 Pick PickMove(const Assignment& s, AdvertiserId i, AdvertiserId j,
-              const LocalSearchConfig& config, common::Rng* rng,
-              MoveScanTables* tables, LocalSearchStats* stats) {
+              const LocalSearchConfig& config, MoveScanTables* tables,
+              LocalSearchStats* stats) {
   Pick best;
   const std::vector<BillboardId>& rows = s.BillboardsOf(i);
   const std::vector<BillboardId>& cols =
       j == market::kNoAdvertiser ? s.FreeBillboards() : s.BillboardsOf(j);
   if (rows.empty() || cols.empty()) return best;
   const double r = config.improvement_ratio;
-
-  // Returns true when the scan should stop at this candidate.
-  auto consider = [&](BillboardId om, BillboardId on, double delta) {
-    ++stats->deltas_evaluated;
-    if (!Accepts(delta, s.TotalRegret(), r)) return false;
-    if (!config.best_improvement) {
-      best = {om, on, delta};
-      return true;
-    }
-    if (delta < best.delta) best = {om, on, delta};
-    return false;
-  };
-
-  const int64_t pairs =
-      static_cast<int64_t>(rows.size()) * static_cast<int64_t>(cols.size());
-  const int64_t cap = config.max_exchange_candidates;
-  if (cap > 0 && pairs > cap) {
-    for (int64_t k = 0; k < cap; ++k) {
-      BillboardId om = rows[rng->UniformU64(rows.size())];
-      BillboardId on = cols[rng->UniformU64(cols.size())];
-      if (consider(om, on, ReferenceDelta(s, j, om, on))) break;
-    }
-    return best;
-  }
   tables->Start(s, i, j);
   for (size_t x = 0; x < rows.size(); ++x) {
     if (!Accepts(tables->CoarseRowBound(x), s.TotalRegret(), r) ||
@@ -250,7 +224,11 @@ Pick PickMove(const Assignment& s, AdvertiserId i, AdvertiserId j,
     for (size_t y = 0; y < cols.size(); ++y) {
       const double delta = tables->Delta(y);
       MROAM_DCHECK(delta == ReferenceDelta(s, j, rows[x], cols[y]));
-      if (consider(rows[x], cols[y], delta)) return best;
+      ++stats->deltas_evaluated;
+      // An accepted delta is negative, so the first one beats best's 0.
+      if (!Accepts(delta, s.TotalRegret(), r) || delta >= best.delta) continue;
+      best = {rows[x], cols[y], delta};
+      if (!config.best_improvement) return best;
     }
   }
   return best;
@@ -262,13 +240,13 @@ Pick PickMove(const Assignment& s, AdvertiserId i, AdvertiserId j,
 /// flight recorder, about as much as a pruned pair's scan (DESIGN.md §6).
 bool TryExchanges(Assignment* assignment,
                   const std::vector<AdvertiserId>& targets, size_t x,
-                  const LocalSearchConfig& config, common::Rng* rng,
-                  MoveScanTables* tables, LocalSearchStats* stats) {
+                  const LocalSearchConfig& config, MoveScanTables* tables,
+                  LocalSearchStats* stats) {
   MROAM_TRACE_SPAN("bls.move.exchange");
   bool any = false;
   for (size_t y = x + 1; y < targets.size(); ++y) {
-    const Pick pick = PickMove(*assignment, targets[x], targets[y], config,
-                               rng, tables, stats);
+    const Pick pick =
+        PickMove(*assignment, targets[x], targets[y], config, tables, stats);
     if (!pick.found()) continue;
     assignment->ExchangeAcross(pick.om, pick.on);
     ++stats->moves_applied;
@@ -282,10 +260,10 @@ bool TryExchanges(Assignment* assignment,
 /// Like move 3, it opens no span of its own (its scan takes well under a
 /// microsecond at p50) and counts toward its `bls.sweep` (DESIGN.md §6).
 bool TryReplaceWithFree(Assignment* assignment, AdvertiserId i,
-                        const LocalSearchConfig& config, common::Rng* rng,
-                        MoveScanTables* tables, LocalSearchStats* stats) {
-  const Pick pick = PickMove(*assignment, i, market::kNoAdvertiser, config,
-                             rng, tables, stats);
+                        const LocalSearchConfig& config, MoveScanTables* tables,
+                        LocalSearchStats* stats) {
+  const Pick pick =
+      PickMove(*assignment, i, market::kNoAdvertiser, config, tables, stats);
   if (!pick.found()) return false;
   assignment->Replace(pick.om, pick.on);
   ++stats->moves_applied;
@@ -316,17 +294,16 @@ bool TryReleases(Assignment* assignment, AdvertiserId i,
 }  // namespace
 
 LocalSearchStats BillboardDrivenLocalSearch(Assignment* assignment,
-                                            const LocalSearchConfig& config,
-                                            common::Rng* rng) {
+                                            const LocalSearchConfig& config) {
   std::vector<AdvertiserId> all(
       static_cast<size_t>(assignment->num_advertisers()));
   for (int32_t a = 0; a < assignment->num_advertisers(); ++a) all[a] = a;
-  return BillboardDrivenLocalSearchOver(assignment, all, config, rng);
+  return BillboardDrivenLocalSearchOver(assignment, all, config);
 }
 
 LocalSearchStats BillboardDrivenLocalSearchOver(
     Assignment* assignment, const std::vector<AdvertiserId>& targets,
-    const LocalSearchConfig& config, common::Rng* rng) {
+    const LocalSearchConfig& config) {
   MROAM_TRACE_SPAN("bls.search");
   LocalSearchStats stats;
   const size_t t = targets.size();
@@ -344,10 +321,10 @@ LocalSearchStats BillboardDrivenLocalSearchOver(
       AdvertiserId i = targets[x];
       // The cross exchange is symmetric, so unordered pairs suffice.
       if (x + 1 < t &&
-          TryExchanges(assignment, targets, x, config, rng, &tables, &stats)) {
+          TryExchanges(assignment, targets, x, config, &tables, &stats)) {
         improved = true;
       }
-      if (TryReplaceWithFree(assignment, i, config, rng, &tables, &stats)) {
+      if (TryReplaceWithFree(assignment, i, config, &tables, &stats)) {
         improved = true;
       }
       if (TryReleases(assignment, i, config, &stats)) {
@@ -393,13 +370,12 @@ namespace {
 /// Improves `plan` in place with the chosen neighborhood search,
 /// accumulating effort counters into `stats`.
 void RunStrategy(Assignment* plan, SearchStrategy strategy,
-                 const LocalSearchConfig& config, common::Rng* rng,
-                 LocalSearchStats* stats) {
+                 const LocalSearchConfig& config, LocalSearchStats* stats) {
   LocalSearchStats s;
   if (strategy == SearchStrategy::kAdvertiserDriven) {
     s = AdvertiserDrivenLocalSearch(plan, config);
   } else {
-    s = BillboardDrivenLocalSearch(plan, config, rng);
+    s = BillboardDrivenLocalSearch(plan, config);
   }
   stats->moves_applied += s.moves_applied;
   stats->deltas_evaluated += s.deltas_evaluated;
@@ -428,7 +404,9 @@ Assignment RandomizedLocalSearch(const influence::InfluenceIndex& index,
   // Fork every task's Rng stream from the caller's generator *before*
   // any work is dispatched: each task's randomness is then a pure
   // function of (caller seed, task index), so the outcome is
-  // bit-identical for every thread count and scheduling order.
+  // bit-identical for every thread count and scheduling order. The
+  // incumbent draws nothing from its stream; forking it anyway keeps
+  // restart t on the caller's fork t + 1.
   std::vector<common::Rng> task_rngs;
   task_rngs.reserve(static_cast<size_t>(tasks));
   for (int32_t t = 0; t < tasks; ++t) task_rngs.push_back(rng->Fork());
@@ -441,7 +419,6 @@ Assignment RandomizedLocalSearch(const influence::InfluenceIndex& index,
     // Task 0 is the deterministic incumbent; t >= 1 are random restarts.
     MROAM_TRACE_SPAN_ID(t == 0 ? "rls.incumbent" : "rls.restart", t);
     common::Stopwatch phase_watch;
-    common::Rng* task_rng = &task_rngs[t];
     Assignment plan(&index, ads, params, impression_threshold);
     if (t == 0) {
       // Line 3.1: incumbent from the deterministic synchronous greedy —
@@ -454,7 +431,7 @@ Assignment RandomizedLocalSearch(const influence::InfluenceIndex& index,
            a < plan.num_advertisers() && !plan.FreeBillboards().empty();
            ++a) {
         const std::vector<BillboardId>& free = plan.FreeBillboards();
-        plan.Assign(free[task_rng->UniformU64(free.size())], a);
+        plan.Assign(free[task_rngs[t].UniformU64(free.size())], a);
       }
       // Line 3.8: complete the plan greedily.
       SynchronousGreedy(&plan);
@@ -463,7 +440,7 @@ Assignment RandomizedLocalSearch(const influence::InfluenceIndex& index,
                             phase_watch.ElapsedSeconds());
     phase_watch.Restart();
     // Line 3.9: local search.
-    RunStrategy(&plan, strategy, config, task_rng, &task_stats[t]);
+    RunStrategy(&plan, strategy, config, &task_stats[t]);
     MROAM_HISTOGRAM_OBSERVE("rls.search_seconds",
                             phase_watch.ElapsedSeconds());
     plans[t] = std::move(plan);

@@ -24,22 +24,13 @@ struct LocalSearchConfig {
   /// Safety cap on full neighborhood sweeps per local-search invocation.
   int32_t max_sweeps = 50;
 
-  /// BLS only: cap on the (o_m, o_n) candidates one scan of move 1 or 2
-  /// examines per sweep — |S_i| × |S_j| pairs for the exchange of an
-  /// advertiser pair, |S_i| × |free pool| for the replace of advertiser
-  /// i. 0 = exhaustive (the paper's neighborhood). When a scan has more
-  /// pairs than a positive cap, it samples `cap` of them uniformly — an
-  /// efficiency knob for large instances that does not change the
-  /// neighborhood definition, only which improving move is found first.
-  /// Exhaustive scans are scored from per-scan tables and skip rows that
-  /// cannot hold an accepted move; sampled ones score pair by pair
-  /// (DESIGN.md §5.2).
-  int64_t max_exchange_candidates = 0;
-
-  /// BLS only: when true, each exchange scan (moves 1-2) applies the
-  /// *best* improving candidate it examined instead of the first one
-  /// (the paper's ∃-semantics). Costs a full scan per applied move; the
-  /// ablation bench measures whether the steeper descent pays off.
+  /// BLS only: when true, each scan of moves 1-2 applies the *best*
+  /// improving candidate it examined instead of the first one (the
+  /// paper's ∃-semantics). It costs a full scan per applied move, and it
+  /// stays because it reached lower regret: 2404.3 against 2408.4 in the
+  /// NYC-like ablation (at 470k against 186k deltas), and lower on 20 of
+  /// the 48 BLS rows of Figs 2-7 and 10-12, higher on 6 (five of them the
+  /// SG-like default point, which recurs in Figs 7, 11 and 12).
   bool best_improvement = false;
 
   /// Worker threads for Algorithm 3's restarts (the restarts are
@@ -168,11 +159,10 @@ LocalSearchStats AdvertiserDrivenLocalSearch(Assignment* assignment,
 /// assigned billboard by an unassigned one, (3) release an assigned
 /// billboard, (4) allocate unassigned billboards via SynchronousGreedy
 /// while some advertiser is unsatisfied — applied while they reduce total
-/// regret. Mutates `assignment` in place; never leaves it worse. `rng`
-/// drives candidate sampling when config.max_exchange_candidates > 0.
+/// regret. Moves 1-2 scan their whole neighborhood (DESIGN.md §5.2).
+/// Mutates `assignment` in place; never leaves it worse.
 LocalSearchStats BillboardDrivenLocalSearch(Assignment* assignment,
-                                            const LocalSearchConfig& config,
-                                            common::Rng* rng);
+                                            const LocalSearchConfig& config);
 
 /// Restricted Billboard-driven Local Search: the same four move classes,
 /// but every move endpoint is limited to the advertisers in `targets`
@@ -184,7 +174,7 @@ LocalSearchStats BillboardDrivenLocalSearch(Assignment* assignment,
 /// churn's blast radius.
 LocalSearchStats BillboardDrivenLocalSearchOver(
     Assignment* assignment, const std::vector<market::AdvertiserId>& targets,
-    const LocalSearchConfig& config, common::Rng* rng);
+    const LocalSearchConfig& config);
 
 /// The neighborhood strategy plugged into the randomized framework.
 enum class SearchStrategy {

@@ -87,7 +87,7 @@ class CoverageCounter {
   /// I(S \ {rem} ∪ {add}) - I(S \ {rem}), in one pass without mutation.
   /// Requires rem currently counted and add not counted. Walks the lists
   /// rather than the tables, so it serves as their reference (the BLS
-  /// DCHECKs) and scores sampled scans. Relies on both incidence lists
+  /// DCHECKs and tests). Relies on both incidence lists
   /// being sorted ascending (an InfluenceIndex invariant) for its merge
   /// pointer.
   int64_t MarginalGainAfterRemove(model::BillboardId add,

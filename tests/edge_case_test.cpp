@@ -108,12 +108,11 @@ TEST(EdgeCaseTest, LocalSearchOnEmptyAssignmentTerminates) {
   auto index = IndexFromIncidence({{0}, {1}}, 2, &d);
   Assignment s(&index, {Adv(0, 5, 5.0)}, RegretParams{0.5});
   LocalSearchConfig config;
-  common::Rng rng(1);
   // ALS with a single advertiser has no pairs; must return immediately.
   LocalSearchStats stats = AdvertiserDrivenLocalSearch(&s, config);
   EXPECT_EQ(stats.moves_applied, 0);
   // BLS will allocate via the greedy move and then stop.
-  BillboardDrivenLocalSearch(&s, config, &rng);
+  BillboardDrivenLocalSearch(&s, config);
   EXPECT_EQ(s.BillboardsOf(0).size(), 2u);
 }
 

@@ -49,7 +49,6 @@ class PipelineTest : public ::testing::Test {
     config.workload.avg_individual_demand_ratio = 0.05;
     config.regret.gamma = 0.5;
     config.local_search.restarts = 2;
-    config.local_search.max_exchange_candidates = 300;
     config.local_search.max_sweeps = 10;
     return config;
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,8 +66,7 @@ TEST_F(ExampleThreeTest, AlsCannotEscape) {
 TEST_F(ExampleThreeTest, BlsFindsTheZeroRegretExchange) {
   Assignment s = InitialPlan();
   LocalSearchConfig config;
-  common::Rng rng(1);
-  LocalSearchStats stats = BillboardDrivenLocalSearch(&s, config, &rng);
+  LocalSearchStats stats = BillboardDrivenLocalSearch(&s, config);
   EXPECT_GT(stats.moves_applied, 0);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
   EXPECT_EQ(s.InfluenceOf(0), 5);
@@ -90,11 +90,10 @@ TEST_F(PaperExampleSearchTest, LocalSearchNeverWorsensTheGreedyPlan) {
     SynchronousGreedy(&s);
     double greedy_regret = s.TotalRegret();
     LocalSearchConfig config;
-    common::Rng rng(2);
     if (strategy == SearchStrategy::kAdvertiserDriven) {
       AdvertiserDrivenLocalSearch(&s, config);
     } else {
-      BillboardDrivenLocalSearch(&s, config, &rng);
+      BillboardDrivenLocalSearch(&s, config);
     }
     EXPECT_LE(s.TotalRegret(), greedy_regret + 1e-9);
     EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
@@ -107,8 +106,7 @@ TEST_F(PaperExampleSearchTest, BlsRepairsTheGreedyPlanToZero) {
   Assignment s(&index_, PaperExampleAdvertisers(), RegretParams{0.5});
   SynchronousGreedy(&s);
   LocalSearchConfig config;
-  common::Rng rng(3);
-  BillboardDrivenLocalSearch(&s, config, &rng);
+  BillboardDrivenLocalSearch(&s, config);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
 }
 
@@ -261,7 +259,7 @@ TEST(FirstImprovementTest, ScanSurvivesMidSweepListMutation) {
   }
   LocalSearchConfig config;
   config.best_improvement = false;  // the first-improvement path
-  LocalSearchStats stats = BillboardDrivenLocalSearch(&s, config, &gen);
+  LocalSearchStats stats = BillboardDrivenLocalSearch(&s, config);
   EXPECT_GT(stats.moves_applied, 0);
   EXPECT_EQ(s.CheckInvariants(), common::Status::Ok());
 }
@@ -401,6 +399,74 @@ TEST(MoveScanTablesTest, RowBoundKeepsEveryRowWithAnAcceptableColumn) {
   EXPECT_GT(coarse_skipped, 0) << "of " << rows << " rows";
 }
 
+// A search that ends before its sweep cap made no move in its last sweep,
+// so it stops at a local optimum of Algorithm 5's neighborhood: no
+// exchange between two targets, no replace of a target's board by a free
+// one, no release and no greedy completion passes the acceptance rule on
+// its per-pair reference. Checked on every scan instance for first and
+// best improvement, at two improvement ratios, over the whole book and
+// over a restricted target set, whose other advertisers keep their boards.
+TEST(LocalOptimumTest, NoMovePassesTheAcceptanceRuleWhereTheSearchStops) {
+  int64_t runs = 0;
+  int64_t optima = 0;
+  ForEachScanInstance([&](const Assignment& start, const std::string& where) {
+    const std::vector<market::AdvertiserId> all = {0, 1, 2, 3};
+    const std::vector<market::AdvertiserId> restricted = {1, 3};
+    for (const bool best : {false, true}) {
+      for (const double r : {0.0, 0.01}) {
+        for (const std::vector<market::AdvertiserId>* targets :
+             {&all, &restricted}) {
+          Assignment s = start;
+          LocalSearchConfig config;
+          config.best_improvement = best;
+          config.improvement_ratio = r;
+          const LocalSearchStats stats =
+              targets == &all
+                  ? BillboardDrivenLocalSearch(&s, config)
+                  : BillboardDrivenLocalSearchOver(&s, *targets, config);
+          ++runs;
+          const std::string run = where + (best ? " best" : " first") +
+                                  " r " + std::to_string(r) +
+                                  (targets == &all ? " all" : " restricted");
+          for (market::AdvertiserId a = 0; a < s.num_advertisers(); ++a) {
+            if (std::find(targets->begin(), targets->end(), a) ==
+                targets->end()) {
+              EXPECT_EQ(s.BillboardsOf(a), start.BillboardsOf(a)) << run;
+            }
+          }
+          if (stats.sweeps >= config.max_sweeps) continue;
+          ++optima;
+          auto accepts = [&](double delta) {
+            return delta <= -(1e-9 + r * std::abs(s.TotalRegret()));
+          };
+          for (const market::AdvertiserId i : *targets) {
+            for (const model::BillboardId om : s.BillboardsOf(i)) {
+              EXPECT_FALSE(accepts(s.DeltaRelease(om)))
+                  << run << " release " << om;
+              for (const model::BillboardId on : s.FreeBillboards()) {
+                EXPECT_FALSE(accepts(s.DeltaReplace(om, on)))
+                    << run << " replace " << om << " by " << on;
+              }
+              for (const market::AdvertiserId j : *targets) {
+                if (j == i) continue;
+                for (const model::BillboardId on : s.BillboardsOf(j)) {
+                  EXPECT_FALSE(accepts(s.DeltaExchangeAcross(om, on)))
+                      << run << " exchange " << om << " with " << on;
+                }
+              }
+            }
+          }
+          Assignment completed = s;
+          SynchronousGreedyOver(&completed, *targets);
+          EXPECT_FALSE(accepts(completed.TotalRegret() - s.TotalRegret()))
+              << run << " completion";
+        }
+      }
+    }
+  });
+  EXPECT_EQ(optima, runs) << "searches that reached the sweep cap";
+}
+
 TEST(BlsMovesTest, ReleaseMoveTrimsPureExcess) {
   // One advertiser already satisfied exactly by o0; o1 adds only excess,
   // so BLS must release it.
@@ -411,8 +477,7 @@ TEST(BlsMovesTest, ReleaseMoveTrimsPureExcess) {
   s.Assign(1, 0);  // influence 3 > demand 2: regret 5
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 5.0);
   LocalSearchConfig config;
-  common::Rng rng(1);
-  BillboardDrivenLocalSearch(&s, config, &rng);
+  BillboardDrivenLocalSearch(&s, config);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
   EXPECT_EQ(s.OwnerOf(1), market::kNoAdvertiser);
 }
@@ -424,8 +489,7 @@ TEST(BlsMovesTest, ReplaceMoveUpgradesToFreeBillboard) {
   Assignment s(&index, {Adv(0, 3, 9.0)}, RegretParams{0.5});
   s.Assign(0, 0);
   LocalSearchConfig config;
-  common::Rng rng(1);
-  BillboardDrivenLocalSearch(&s, config, &rng);
+  BillboardDrivenLocalSearch(&s, config);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
   EXPECT_EQ(s.OwnerOf(1), 0);
 }
@@ -437,8 +501,7 @@ TEST(BlsMovesTest, GreedyCompletionMoveAllocatesFreePool) {
   auto index = IndexFromIncidence({{0}, {1}}, 2, &d);
   Assignment s(&index, {Adv(0, 2, 6.0)}, RegretParams{0.5});
   LocalSearchConfig config;
-  common::Rng rng(1);
-  BillboardDrivenLocalSearch(&s, config, &rng);
+  BillboardDrivenLocalSearch(&s, config);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
   EXPECT_EQ(s.BillboardsOf(0).size(), 2u);
 }
@@ -455,8 +518,7 @@ TEST(ImprovementRatioTest, LargeRatioBlocksSmallImprovements) {
   s.Assign(2, 1);
   LocalSearchConfig strict;
   strict.improvement_ratio = 10.0;  // demands 10x the current total
-  common::Rng rng(1);
-  BillboardDrivenLocalSearch(&s, strict, &rng);
+  BillboardDrivenLocalSearch(&s, strict);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 3.0);  // nothing accepted
 }
 
@@ -466,8 +528,7 @@ TEST(MaxSweepsTest, CapsIterations) {
   Assignment s(&index, {Adv(0, 2, 4.0), Adv(1, 2, 4.0)}, RegretParams{0.5});
   LocalSearchConfig config;
   config.max_sweeps = 1;
-  common::Rng rng(1);
-  LocalSearchStats stats = BillboardDrivenLocalSearch(&s, config, &rng);
+  LocalSearchStats stats = BillboardDrivenLocalSearch(&s, config);
   EXPECT_LE(stats.sweeps, 1);
 }
 
@@ -495,11 +556,10 @@ TEST(BestImprovementTest, FindsTheSteepestExchange) {
   first_cfg.max_sweeps = 1;
   LocalSearchConfig best_cfg = first_cfg;
   best_cfg.best_improvement = true;
-  common::Rng rng1(1), rng2(1);
   LocalSearchStats first_stats =
-      BillboardDrivenLocalSearch(&greedy_first, first_cfg, &rng1);
+      BillboardDrivenLocalSearch(&greedy_first, first_cfg);
   LocalSearchStats best_stats =
-      BillboardDrivenLocalSearch(&steepest, best_cfg, &rng2);
+      BillboardDrivenLocalSearch(&steepest, best_cfg);
   // Both improve, and the steepest-descent variant is at least as good
   // after the single allowed sweep while evaluating at least as many
   // deltas.
@@ -520,8 +580,7 @@ TEST(BestImprovementTest, StillReachesZeroOnExampleThree) {
   s.Assign(2, 1);
   LocalSearchConfig config;
   config.best_improvement = true;
-  common::Rng rng(1);
-  BillboardDrivenLocalSearch(&s, config, &rng);
+  BillboardDrivenLocalSearch(&s, config);
   EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
 }
 
@@ -534,29 +593,10 @@ TEST(SearchStatsTest, CountersReflectWork) {
   s.Assign(1, 0);
   s.Assign(2, 1);
   LocalSearchConfig config;
-  common::Rng rng(1);
-  LocalSearchStats stats = BillboardDrivenLocalSearch(&s, config, &rng);
+  LocalSearchStats stats = BillboardDrivenLocalSearch(&s, config);
   EXPECT_GE(stats.sweeps, 1);
   EXPECT_GE(stats.moves_applied, 1);
   EXPECT_GE(stats.deltas_evaluated, stats.moves_applied);
-}
-
-TEST(SampledExchangeTest, SamplingStillFindsImprovingMoves) {
-  // Same as Example 3 but with candidate sampling enabled; the improving
-  // exchange is one of only 2x1 pairs, so sampling finds it quickly.
-  model::Dataset d;
-  auto index = IndexFromIncidence(
-      {{0, 1, 2, 3}, {0, 1, 2, 4}, {4, 5}}, 6, &d);
-  Assignment s(&index, {Adv(0, 5, 5.0), Adv(1, 4, 4.0)}, RegretParams{0.5});
-  s.Assign(0, 0);
-  s.Assign(1, 0);
-  s.Assign(2, 1);
-  LocalSearchConfig config;
-  config.max_exchange_candidates = 1;  // force the sampled path
-  config.max_sweeps = 50;
-  common::Rng rng(123);
-  BillboardDrivenLocalSearch(&s, config, &rng);
-  EXPECT_DOUBLE_EQ(s.TotalRegret(), 0.0);
 }
 
 }  // namespace

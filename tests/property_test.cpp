@@ -138,8 +138,7 @@ TEST_P(DualLocalMaxTest, BlsOutputIsApproximateLocalMaximumOfDual) {
   SynchronousGreedy(&s);
   LocalSearchConfig config;
   config.improvement_ratio = r;
-  common::Rng search_rng(GetParam() + 1);
-  BillboardDrivenLocalSearch(&s, config, &search_rng);
+  BillboardDrivenLocalSearch(&s, config);
 
   const double dual = s.DualOf(0);
   // Removal neighbors: (1+r) R'(S) >= R'(S \ {o}).

@@ -110,7 +110,6 @@ TEST(ParallelSolveDeterminismTest, BlsBreakdownIdenticalAcrossThreadCounts) {
   config.method = core::Method::kBls;
   config.seed = 2026;
   config.local_search.restarts = 6;
-  config.local_search.max_exchange_candidates = 4;  // exercise rng sampling
 
   config.local_search.num_threads = 1;
   core::SolveResult baseline = core::Solve(index, ads, config);
