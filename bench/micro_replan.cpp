@@ -3,7 +3,7 @@
 // driven through a full per-day re-solve and the incremental warm-start
 // replanner. The timed loop is the day loop; the counters are the
 // replanner's deterministic work measures (boards touched per day,
-// fallback rate, advertisers re-optimized per day), which the
+// full-solve fallback rate, advertisers re-optimized per day), which the
 // check_replan_regression ctest entry gates against a committed baseline.
 #include <benchmark/benchmark.h>
 

@@ -12,13 +12,10 @@
 // _ms_p50/p95/p99, from the server's serve.stage.* histograms),
 // throughput, and batch statistics.
 //
-// Also runs a deterministic in-process replan comparison (no sockets, no
-// timing-dependent batching): the same churn schedule driven through a
-// kReoptimizeAll and a kIncremental DailyMarket, reporting seconds/day,
-// final regret, fallback count, and boards touched for both — the
-// apples-to-apples numbers behind the incremental replanner's acceptance
-// criterion. --skip-compare drops that half (the tier-1 ctest entry does;
-// it gates only the serve-path stage latencies).
+// Every phase replans with the lock-existing policy and G-Global, the
+// cheapest replan, so its gates measure the serve path rather than the
+// solver; contractbench's market_mixed gates the server's default
+// incremental configuration.
 //
 // The overload sweep (--skip-overload drops it) drives a burst at a
 // deliberately tiny admission queue plus two slow-loris probes, and
@@ -35,8 +32,7 @@
 // check_serve_openloop_regression gates a generous floor on it.
 //
 //   serve_load [--submissions N] [--clients N]
-//              [--policy lock|reopt|incremental]
-//              [--batch-max N] [--batch-delay-ms F] [--skip-compare]
+//              [--batch-max N] [--batch-delay-ms F]
 //              [--skip-overload] [--skip-openloop]
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -74,12 +70,8 @@ namespace {
 struct LoadOptions {
   int submissions = 1200;
   int clients = 8;
-  std::string policy = "lock";
   int batch_max = 64;
   double batch_delay_ms = 5.0;
-  /// Skip the deterministic replan comparison (the slow half) — the
-  /// tier-1 ctest entry gates only the serve-path stage latencies.
-  bool skip_compare = false;
   /// Skip the overload-contract sweep.
   bool skip_overload = false;
   /// Skip the open-loop arrival-rate sweep.
@@ -91,110 +83,6 @@ double Percentile(std::vector<double> sorted, double q) {
   size_t rank = static_cast<size_t>(q * static_cast<double>(sorted.size()));
   rank = std::min(rank, sorted.size() - 1);
   return sorted[rank];
-}
-
-struct ReplanCompareOutcome {
-  double seconds_per_day = 0.0;
-  double boards_touched_per_day = 0.0;
-  double final_regret = 0.0;
-  int fallbacks = 0;
-};
-
-/// Drives one DailyMarket through a deterministic churn schedule: each day
-/// admits a fixed slice of `arrivals` and cancels one early ticket, so the
-/// two policies see byte-identical inputs and the timing difference is
-/// purely the replanner's.
-ReplanCompareOutcome DriveReplanSchedule(
-    const influence::InfluenceIndex& index, core::ReplanPolicy policy,
-    const std::vector<market::Advertiser>& arrivals, int days,
-    int per_day) {
-  core::DailyMarketConfig config;
-  // Full solves run the quality solver a production host would replan
-  // with (kGGlobal would understate what the warm start saves).
-  config.solver.method = core::Method::kBls;
-  config.contract_duration_days = 10;
-  config.policy = policy;
-  core::DailyMarket market(&index, config);
-
-  ReplanCompareOutcome outcome;
-  size_t next = 0;
-  for (int day = 1; day <= days; ++day) {
-    if (day >= 4 && day % 3 == 1) {
-      // Cancel an early still-active ticket; a miss is a harmless no-op.
-      market.Cancel(static_cast<int64_t>(day) - 3);
-    }
-    std::vector<market::Advertiser> batch;
-    for (int k = 0; k < per_day && next < arrivals.size(); ++k) {
-      batch.push_back(arrivals[next++]);
-    }
-    core::DayResult result = market.AdvanceDay(std::move(batch));
-    outcome.seconds_per_day += result.seconds;
-    outcome.boards_touched_per_day +=
-        static_cast<double>(result.boards_touched);
-    outcome.final_regret = result.breakdown.total;
-    if (result.full_solve_fallback) ++outcome.fallbacks;
-  }
-  outcome.seconds_per_day /= static_cast<double>(days);
-  outcome.boards_touched_per_day /= static_cast<double>(days);
-  return outcome;
-}
-
-/// The deterministic in-process replan comparison (no sockets): the same
-/// churn schedule through kReoptimizeAll and kIncremental. Returns false
-/// on workload-generation failure.
-bool RunReplanCompare(const influence::InfluenceIndex& index,
-                      ReportWriter* report) {
-  const int compare_days = 30;
-  const int compare_per_day = 4;
-  common::Rng compare_rng(23);
-  market::WorkloadConfig compare_workload;
-  compare_workload.avg_individual_demand_ratio = 0.01;
-  // |A| = alpha / p: sized to cover the whole schedule.
-  compare_workload.alpha =
-      compare_workload.avg_individual_demand_ratio *
-      static_cast<double>(compare_days * compare_per_day);
-  auto compare_arrivals = market::GenerateAdvertisers(
-      index.TotalSupply(), compare_workload, &compare_rng);
-  if (!compare_arrivals.ok()) {
-    MROAM_LOG(Error) << compare_arrivals.status().ToString();
-    return false;
-  }
-  ReplanCompareOutcome full = DriveReplanSchedule(
-      index, core::ReplanPolicy::kReoptimizeAll, *compare_arrivals,
-      compare_days, compare_per_day);
-  ReplanCompareOutcome incremental = DriveReplanSchedule(
-      index, core::ReplanPolicy::kIncremental, *compare_arrivals,
-      compare_days, compare_per_day);
-  report->AddNumber("replan_compare_days", compare_days);
-  report->AddNumber("replan_compare_full_seconds_per_day",
-                    full.seconds_per_day);
-  report->AddNumber("replan_compare_incremental_seconds_per_day",
-                    incremental.seconds_per_day);
-  report->AddNumber("replan_compare_speedup",
-                    incremental.seconds_per_day > 0.0
-                        ? full.seconds_per_day / incremental.seconds_per_day
-                        : 0.0);
-  report->AddNumber("replan_compare_full_final_regret", full.final_regret);
-  report->AddNumber("replan_compare_incremental_final_regret",
-                    incremental.final_regret);
-  report->AddNumber("replan_compare_incremental_fallbacks",
-                    incremental.fallbacks);
-  report->AddNumber("replan_compare_full_boards_touched_per_day",
-                    full.boards_touched_per_day);
-  report->AddNumber("replan_compare_incremental_boards_touched_per_day",
-                    incremental.boards_touched_per_day);
-  std::printf(
-      "replan_compare: full %.4fs/day (%.1f boards), incremental %.4fs/day "
-      "(%.1f boards, %d fallbacks), speedup %.2fx, final regret "
-      "%.1f vs %.1f\n",
-      full.seconds_per_day, full.boards_touched_per_day,
-      incremental.seconds_per_day, incremental.boards_touched_per_day,
-      incremental.fallbacks,
-      incremental.seconds_per_day > 0.0
-          ? full.seconds_per_day / incremental.seconds_per_day
-          : 0.0,
-      full.final_regret, incremental.final_regret);
-  return true;
 }
 
 /// Raw TCP connect to 127.0.0.1:port — for the slow-loris probes, which
@@ -584,13 +472,7 @@ int Run(const LoadOptions& options) {
   config.num_threads = options.clients;
   config.max_batch = options.batch_max;
   config.max_batch_delay_seconds = options.batch_delay_ms / 1000.0;
-  if (options.policy == "reopt") {
-    config.market.policy = core::ReplanPolicy::kReoptimizeAll;
-  } else if (options.policy == "incremental") {
-    config.market.policy = core::ReplanPolicy::kIncremental;
-  } else {
-    config.market.policy = core::ReplanPolicy::kLockExisting;
-  }
+  config.market.policy = core::ReplanPolicy::kLockExisting;
   config.market.solver.method = core::Method::kGGlobal;
   // Contracts churn: a short term keeps the active set (and thus replan
   // cost) bounded as thousands of submissions stream through.
@@ -702,7 +584,7 @@ int Run(const LoadOptions& options) {
 
   ReportWriter report("serve");
   report.SetDataset(dataset, index);
-  report.AddNote("policy", options.policy);
+  report.AddNote("policy", core::ReplanPolicyName(config.market.policy));
   report.AddNumber("clients", options.clients);
   report.AddNumber("batch_max", options.batch_max);
   report.AddNumber("batch_delay_ms", options.batch_delay_ms);
@@ -771,11 +653,6 @@ int Run(const LoadOptions& options) {
     return 1;
   }
 
-  // Deterministic replan comparison over a shared churn schedule.
-  if (!options.skip_compare && !RunReplanCompare(index, &report)) {
-    return 1;
-  }
-
   std::printf(
       "serve_load: %d ok / %d failed in %.2fs (%.0f/s), "
       "p50 %.2fms p95 %.2fms p99 %.2fms over %lld batches\n",
@@ -815,14 +692,10 @@ int main(int argc, char** argv) {
       options.submissions = std::atoi(next());
     } else if (arg == "--clients") {
       options.clients = std::atoi(next());
-    } else if (arg == "--policy") {
-      options.policy = next();
     } else if (arg == "--batch-max") {
       options.batch_max = std::atoi(next());
     } else if (arg == "--batch-delay-ms") {
       options.batch_delay_ms = std::atof(next());
-    } else if (arg == "--skip-compare") {
-      options.skip_compare = true;
     } else if (arg == "--skip-overload") {
       options.skip_overload = true;
     } else if (arg == "--skip-openloop") {
@@ -830,8 +703,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: serve_load [--submissions N] [--clients N] "
-                   "[--policy lock|reopt|incremental] [--batch-max N] "
-                   "[--batch-delay-ms F] [--skip-compare] "
+                   "[--batch-max N] [--batch-delay-ms F] "
                    "[--skip-overload] [--skip-openloop]\n");
       return 2;
     }

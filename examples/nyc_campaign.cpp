@@ -85,10 +85,14 @@ int main(int argc, char** argv) {
       solver.regret = config.regret;
       solver.local_search = config.local_search;
       core::SolveResult plan = core::Solve(index, *ads, solver);
-      const std::string svg_path = "/tmp/nyc_campaign_deployment.svg";
-      if (eval::WriteDeploymentSvg(svg_path, city, plan).ok()) {
+      const std::string svg_path = "nyc_campaign_deployment.svg";
+      const common::Status written =
+          eval::WriteDeploymentSvg(svg_path, city, plan);
+      if (written.ok()) {
         std::cout << "Deployment map written to " << svg_path
                   << " (billboards colored by advertiser)\n\n";
+      } else {
+        std::cerr << "deployment map not written: " << written << "\n";
       }
     }
   }

@@ -1,6 +1,5 @@
 #include "core/daily_market.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -67,6 +66,20 @@ bool Holds(const common::Status& status) {
   return status.ok();
 }
 
+/// Every advertiser's billboards in `state`, by dense id.
+std::vector<std::vector<model::BillboardId>> SetsOf(const Assignment& state) {
+  std::vector<std::vector<model::BillboardId>> sets;
+  sets.reserve(static_cast<size_t>(state.num_advertisers()));
+  for (int32_t a = 0; a < state.num_advertisers(); ++a) {
+    sets.push_back(state.BillboardsOf(a));
+  }
+  return sets;
+}
+
+/// Sweep cap of the restricted local search that polishes an incremental
+/// day after its restricted greedy.
+constexpr int32_t kIncrementalSweeps = 2;
+
 }  // namespace
 
 DailyMarket::DailyMarket(const influence::InfluenceIndex* index,
@@ -75,103 +88,107 @@ DailyMarket::DailyMarket(const influence::InfluenceIndex* index,
   MROAM_CHECK(config_.contract_duration_days >= 1);
 }
 
-void DailyMarket::RefreshCaches() {
-  terms_cache_.clear();
-  sets_cache_.clear();
-  tickets_cache_.clear();
-  ticket_index_.clear();
-  for (size_t i = 0; i < contracts_.size(); ++i) {
-    contracts_[i].terms.id = static_cast<market::AdvertiserId>(i);
-    terms_cache_.push_back(contracts_[i].terms);
-    sets_cache_.push_back(contracts_[i].billboards);
-    tickets_cache_.push_back(contracts_[i].ticket);
-    ticket_index_[contracts_[i].ticket] = i;
+void DailyMarket::Append(market::Advertiser terms, int64_t ticket,
+                         int32_t expires_on,
+                         std::vector<model::BillboardId> billboards) {
+  const size_t i = tickets_.size();
+  terms.id = static_cast<market::AdvertiserId>(i);
+  terms_.push_back(terms);
+  sets_.push_back(std::move(billboards));
+  tickets_.push_back(ticket);
+  expires_on_.push_back(expires_on);
+  ticket_index_[ticket] = i;
+}
+
+int32_t DailyMarket::RemoveIf(const std::function<bool(size_t)>& gone) {
+  size_t kept = 0;
+  for (size_t i = 0; i < tickets_.size(); ++i) {
+    if (gone(i)) {
+      churn_released_.insert(churn_released_.end(), sets_[i].begin(),
+                             sets_[i].end());
+      ticket_index_.erase(tickets_[i]);
+      continue;
+    }
+    if (kept != i) {
+      terms_[kept] = terms_[i];
+      terms_[kept].id = static_cast<market::AdvertiserId>(kept);
+      sets_[kept] = std::move(sets_[i]);
+      tickets_[kept] = tickets_[i];
+      expires_on_[kept] = expires_on_[i];
+      ticket_index_[tickets_[kept]] = kept;
+    }
+    ++kept;
   }
+  const auto removed = static_cast<int32_t>(tickets_.size() - kept);
+  terms_.resize(kept);
+  sets_.resize(kept);
+  tickets_.resize(kept);
+  expires_on_.resize(kept);
+  return removed;
 }
 
 market::ContractBook DailyMarket::ExportBook() const {
   market::ContractBook book;
   book.day = day_;
   book.next_ticket = next_ticket_;
-  book.entries.reserve(contracts_.size());
-  for (const Contract& c : contracts_) {
-    market::ContractBookEntry entry;
-    entry.terms = c.terms;
-    entry.ticket = c.ticket;
-    entry.expires_on = c.expires_on;
-    entry.billboards = c.billboards;
-    book.entries.push_back(std::move(entry));
+  book.entries.reserve(tickets_.size());
+  for (size_t i = 0; i < tickets_.size(); ++i) {
+    book.entries.push_back(market::ContractBookEntry{
+        terms_[i], tickets_[i], expires_on_[i], sets_[i]});
   }
   return book;
 }
 
 void DailyMarket::RestoreBook(const market::ContractBook& book) {
-  MROAM_CHECK(day_ == 0 && next_ticket_ == 1 && contracts_.empty())
+  MROAM_CHECK(day_ == 0 && next_ticket_ == 1 && tickets_.empty())
       << "RestoreBook requires a fresh market (day " << day_ << ", "
-      << contracts_.size() << " contracts held)";
+      << tickets_.size() << " contracts held)";
   MROAM_CHECK(book.next_ticket >= 1);
   day_ = book.day;
   next_ticket_ = book.next_ticket;
-  contracts_.reserve(book.entries.size());
   for (const market::ContractBookEntry& entry : book.entries) {
     MROAM_CHECK(entry.ticket >= 1 && entry.ticket < book.next_ticket)
         << "restored ticket " << entry.ticket
         << " outside the minted range";
-    Contract c;
-    c.terms = entry.terms;
-    c.ticket = entry.ticket;
-    c.expires_on = entry.expires_on;
-    c.billboards = entry.billboards;
-    contracts_.push_back(std::move(c));
+    Append(entry.terms, entry.ticket, entry.expires_on, entry.billboards);
   }
-  RefreshCaches();
 }
 
 bool DailyMarket::Cancel(int64_t ticket) {
   auto it = ticket_index_.find(ticket);
   if (it == ticket_index_.end()) return false;
-  const size_t i = it->second;
   // The withdrawn inventory joins the churn pool: the next incremental
   // replan re-optimizes its blast radius.
-  churn_released_.insert(churn_released_.end(),
-                         contracts_[i].billboards.begin(),
-                         contracts_[i].billboards.end());
+  const size_t position = it->second;
+  RemoveIf([position](size_t i) { return i == position; });
   ++cancelled_since_last_day_;
-  ticket_index_.erase(it);
-  contracts_.erase(contracts_.begin() + static_cast<ptrdiff_t>(i));
-  terms_cache_.erase(terms_cache_.begin() + static_cast<ptrdiff_t>(i));
-  sets_cache_.erase(sets_cache_.begin() + static_cast<ptrdiff_t>(i));
-  tickets_cache_.erase(tickets_cache_.begin() + static_cast<ptrdiff_t>(i));
-  // Re-number the shifted tail: dense ids and map entries move down one.
-  for (size_t j = i; j < contracts_.size(); ++j) {
-    contracts_[j].terms.id = static_cast<market::AdvertiserId>(j);
-    terms_cache_[j].id = static_cast<market::AdvertiserId>(j);
-    ticket_index_[contracts_[j].ticket] = j;
-  }
   return true;
+}
+
+void DailyMarket::Deploy(std::vector<std::vector<model::BillboardId>> plan,
+                         DayResult* result) {
+  result->boards_touched =
+      CountDeploymentDiff(sets_, plan, index_->num_billboards());
+  sets_ = std::move(plan);
 }
 
 void DailyMarket::ReplanFull(DayResult* result) {
   MROAM_TRACE_SPAN("market.replan_full");
-  SolveResult solve = Solve(*index_, terms_cache_, config_.solver);
-  for (size_t i = 0; i < contracts_.size(); ++i) {
-    contracts_[i].billboards = solve.sets[i];
-  }
+  SolveResult solve = Solve(*index_, terms_, config_.solver);
+  Deploy(std::move(solve.sets), result);
   result->breakdown = solve.breakdown;
   result->report = std::move(solve.report);
   result->mode = ReplanMode::kFull;
-  last_full_regret_ = solve.breakdown.total;
-  have_full_solve_ = true;
+  solved_ = true;
 }
 
 void DailyMarket::ReplanIncremental(
     size_t first_new, const std::vector<model::BillboardId>& churn,
     DayResult* result) {
   MROAM_TRACE_SPAN("market.replan_incremental");
-  // Without a drift anchor there is nothing to warm-start against; a
-  // negative drift bound is the documented "always do the full solve"
-  // switch. Both paths run the same Solve as kReoptimizeAll.
-  if (!have_full_solve_ || config_.incremental.max_regret_drift < 0.0) {
+  // A book this market has not solved has no plan of its own to warm-start
+  // from: run the same Solve as kReoptimizeAll.
+  if (!solved_) {
     result->full_solve_fallback = true;
     MROAM_COUNTER_ADD("market.replan_full_fallback", 1);
     ReplanFull(result);
@@ -180,9 +197,9 @@ void DailyMarket::ReplanIncremental(
 
   // Restore yesterday's deployment over today's roster (survivors keep
   // their boards; arrivals start empty).
-  Assignment state(index_, terms_cache_, config_.solver.regret,
+  Assignment state(index_, terms_, config_.solver.regret,
                    config_.solver.impression_threshold);
-  state.RestoreDeployment(sets_cache_);
+  state.RestoreDeployment(sets_);
 
   // Blast radius of the churn: every billboard sharing a trajectory with
   // the released inventory can now gain or lose marginal value.
@@ -222,6 +239,7 @@ void DailyMarket::ReplanIncremental(
   result->reoptimized_advertisers = static_cast<int32_t>(targets.size());
 
   const double incumbent_regret = state.TotalRegret();
+  const RegretBreakdown incumbent = state.Breakdown();
 
   // Re-optimize the affected set: release its inventory, re-run the
   // restricted greedy, then a bounded restricted local-search polish.
@@ -231,46 +249,24 @@ void DailyMarket::ReplanIncremental(
     SynchronousGreedyOver(&state, targets);
   }
   result->report.AddPhase("greedy", greedy_watch.ElapsedSeconds());
-  if (!targets.empty() && config_.incremental.local_search_sweeps > 0) {
+  if (!targets.empty()) {
     common::Stopwatch search_watch;
     LocalSearchConfig search = config_.solver.local_search;
-    search.max_sweeps = config_.incremental.local_search_sweeps;
+    search.max_sweeps = kIncrementalSweeps;
     BillboardDrivenLocalSearchOver(&state, targets, search);
     result->report.AddPhase("local_search", search_watch.ElapsedSeconds());
   }
 
   // Never-worse guard: re-optimizing a released blast radius can lose
   // ground (greedy is not monotone in its starting point); keep the
-  // restored incumbent if it was better.
+  // stored sets and their breakdown if they were better.
   if (state.TotalRegret() > incumbent_regret + 1e-9) {
-    Assignment revert(index_, terms_cache_, config_.solver.regret,
-                      config_.solver.impression_threshold);
-    revert.RestoreDeployment(sets_cache_);
-    state = std::move(revert);
+    result->breakdown = incumbent;
+  } else {
+    MROAM_DCHECK(Holds(state.CheckInvariants()));
+    Deploy(SetsOf(state), result);
+    result->breakdown = state.Breakdown();
   }
-
-  // Drift bound: keep the warm-started plan only while its regret stays
-  // within the configured margin of the last full solve, measured in
-  // payment units so the bound survives zero-regret anchors.
-  double payment_scale = 0.0;
-  for (const market::Advertiser& a : terms_cache_) {
-    payment_scale += a.payment;
-  }
-  const double bound = last_full_regret_ +
-                       config_.incremental.max_regret_drift * payment_scale;
-  if (state.TotalRegret() > bound + 1e-9) {
-    result->full_solve_fallback = true;
-    MROAM_COUNTER_ADD("market.replan_full_fallback", 1);
-    ReplanFull(result);
-    return;
-  }
-
-  MROAM_DCHECK(Holds(state.CheckInvariants()));
-  for (size_t i = 0; i < contracts_.size(); ++i) {
-    contracts_[i].billboards =
-        state.BillboardsOf(static_cast<market::AdvertiserId>(i));
-  }
-  result->breakdown = state.Breakdown();
   result->mode = ReplanMode::kIncremental;
   result->report.label = "incremental";
   MROAM_COUNTER_ADD("market.replan_incremental", 1);
@@ -291,83 +287,48 @@ DayResult DailyMarket::AdvanceDay(
     // the churn pool; then admit today's arrivals. One span covers both —
     // it is the non-solver bookkeeping slice of the day.
     MROAM_TRACE_SPAN("market.expire_admit");
-    size_t before = contracts_.size();
-    for (const Contract& c : contracts_) {
-      if (c.expires_on <= day_) {
-        churn_released_.insert(churn_released_.end(), c.billboards.begin(),
-                               c.billboards.end());
-      }
-    }
-    contracts_.erase(
-        std::remove_if(contracts_.begin(), contracts_.end(),
-                       [this](const Contract& c) {
-                         return c.expires_on <= day_;
-                       }),
-        contracts_.end());
-    result.expired = static_cast<int32_t>(before - contracts_.size());
-
-    // Admit today's arrivals.
+    result.expired =
+        RemoveIf([this](size_t i) { return expires_on_[i] <= day_; });
     result.arrived = static_cast<int32_t>(arrivals.size());
-    first_new = contracts_.size();
-    for (market::Advertiser& a : arrivals) {
-      Contract c;
-      c.terms = a;
-      c.ticket = next_ticket_++;
-      c.expires_on = day_ + config_.contract_duration_days;
-      result.admitted_tickets.push_back(c.ticket);
-      contracts_.push_back(std::move(c));
+    first_new = tickets_.size();
+    for (const market::Advertiser& a : arrivals) {
+      result.admitted_tickets.push_back(next_ticket_);
+      Append(a, next_ticket_++, day_ + config_.contract_duration_days, {});
     }
-    RefreshCaches();
-    result.active_contracts = static_cast<int32_t>(contracts_.size());
+    result.active_contracts = active_contracts();
   }
 
   const std::vector<model::BillboardId> churn = std::move(churn_released_);
   churn_released_.clear();
   result.churn_boards = static_cast<int32_t>(churn.size());
 
-  if (contracts_.empty()) {
-    // An empty book is a (trivially optimal) full solve: re-anchor drift.
-    last_full_regret_ = 0.0;
-    have_full_solve_ = true;
+  if (tickets_.empty()) {
     result.seconds = watch.ElapsedSeconds();
     return result;
   }
-
-  // Snapshot the restored incumbent so the day can report how many boards
-  // the replan actually moved.
-  const std::vector<std::vector<model::BillboardId>> incumbent = sets_cache_;
 
   if (config_.policy == ReplanPolicy::kReoptimizeAll) {
     ReplanFull(&result);
   } else if (config_.policy == ReplanPolicy::kIncremental) {
     ReplanIncremental(first_new, churn, &result);
   } else {
-    // Lock-existing: restore yesterday's deployment, then hand remaining
-    // inventory to the (new or still-unsatisfied) contracts greedily.
+    // Lock-existing: restore yesterday's deployment (arrivals hold no
+    // boards yet), then hand remaining inventory to the new or
+    // still-unsatisfied contracts greedily.
     MROAM_TRACE_SPAN("market.replan_lock");
-    Assignment state(index_, terms_cache_, config_.solver.regret,
+    Assignment state(index_, terms_, config_.solver.regret,
                      config_.solver.impression_threshold);
-    for (size_t i = 0; i < first_new; ++i) {
-      for (model::BillboardId o : contracts_[i].billboards) {
-        state.Assign(o, static_cast<market::AdvertiserId>(i));
-      }
-    }
+    state.RestoreDeployment(sets_);
     common::Stopwatch greedy_watch;
     SynchronousGreedy(&state);
-    for (size_t i = 0; i < contracts_.size(); ++i) {
-      contracts_[i].billboards =
-          state.BillboardsOf(static_cast<market::AdvertiserId>(i));
-    }
+    Deploy(SetsOf(state), &result);
     result.breakdown = state.Breakdown();
     result.mode = ReplanMode::kGreedy;
     result.report.label = ReplanPolicyName(config_.policy);
     result.report.AddPhase("greedy", greedy_watch.ElapsedSeconds());
   }
-  RefreshCaches();
-  MROAM_DCHECK(Holds(CheckDayPlan(index_, config_.solver, terms_cache_,
-                                  sets_cache_, result.breakdown)));
-  result.boards_touched =
-      CountDeploymentDiff(incumbent, sets_cache_, index_->num_billboards());
+  MROAM_DCHECK(Holds(CheckDayPlan(index_, config_.solver, terms_, sets_,
+                                  result.breakdown)));
   MROAM_COUNTER_ADD("market.boards_touched", result.boards_touched);
   MROAM_COUNTER_ADD("market.churn_boards", result.churn_boards);
   result.seconds = watch.ElapsedSeconds();

@@ -2,6 +2,7 @@
 #define MROAM_CORE_DAILY_MARKET_H_
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -13,60 +14,45 @@ namespace mroam::core {
 /// Operating policy of the host across days.
 enum class ReplanPolicy {
   /// Re-solve the whole market (all active contracts) every day with the
-  /// configured method. Best regret; existing advertisers may see their
-  /// billboard sets change day to day.
+  /// configured method: the paper's §1 reference. Best regret; existing
+  /// advertisers may see their billboard sets change day to day.
   kReoptimizeAll,
   /// Existing contracts keep yesterday's billboards; only newly arrived
   /// (and still-unsatisfied) contracts receive inventory, via the
-  /// synchronous greedy. Stable for customers, cheaper to run, worse
-  /// regret.
+  /// synchronous greedy. It stays for stability, not regret: on
+  /// contractbench's replan_churn schedule it moves ~11 boards a day
+  /// against ~106 for kIncremental, at ~8× its regret ratio (0.0225
+  /// against 0.0027). It is not kIncremental with an empty blast radius,
+  /// which would still release every unsatisfied incumbent's boards before
+  /// its greedy; here those boards stay put.
   kLockExisting,
   /// Warm-start from yesterday's deployment and re-optimize only the
   /// advertisers inside the churn's blast radius (arrivals, unsatisfied
   /// incumbents, and owners of billboards sharing trajectories with the
-  /// inventory released by expiry/cancellation). Falls back to a full
-  /// kReoptimizeAll-style solve whenever the warm-started plan's regret
-  /// drifts past IncrementalReplanConfig::max_regret_drift relative to the
-  /// last full solve. Cheaper than kReoptimizeAll, but not close to its
-  /// regret: on contractbench's replan_churn workload (4-vCPU VM) an
-  /// incremental day takes ~0.7 ms against ~4 ms for a full 3-restart BLS
-  /// solve, and leaves 57–145× its regret (regret ratio ~0.0027 against
-  /// 0.00002–0.00005), because it runs none of Algorithm 3's restarts.
+  /// inventory released by expiry/cancellation). A full kReoptimizeAll
+  /// Solve runs only while the market has not solved its book yet: its
+  /// first non-empty day, and the first day after RestoreBook. Cheaper
+  /// than kReoptimizeAll, but not close to its regret: on contractbench's
+  /// replan_churn workload (4-vCPU VM) an incremental day takes ~0.7 ms
+  /// against ~4 ms for a full 3-restart BLS solve, and leaves 57–145× its
+  /// regret (regret ratio ~0.0027 against 0.00002–0.00005), because it
+  /// runs none of Algorithm 3's restarts.
   kIncremental,
 };
 
 const char* ReplanPolicyName(ReplanPolicy policy);
 
-/// Knobs of ReplanPolicy::kIncremental.
-struct IncrementalReplanConfig {
-  /// Allowed regret drift before falling back to a full solve: the
-  /// incremental plan is kept only while its total regret stays within
-  /// `last full solve's regret + max_regret_drift * (sum of active
-  /// payments)`. The payment sum is the scale because regret is measured
-  /// in payment units and the bound must stay meaningful when the full
-  /// solve reaches zero regret. Negative forces a full solve every day
-  /// (kIncremental then matches kReoptimizeAll bit for bit — the
-  /// equivalence tests rely on this); a huge value never falls back.
-  double max_regret_drift = 0.1;
-
-  /// Sweep cap for the restricted billboard-driven local search run over
-  /// the affected advertisers after the restricted greedy. 0 skips the
-  /// local-search polish entirely.
-  int32_t local_search_sweeps = 2;
-};
-
 /// Configuration of the rolling market simulation.
 struct DailyMarketConfig {
   SolverConfig solver;                  ///< used by full solves
   int32_t contract_duration_days = 7;   ///< arrivals stay this many days
-  ReplanPolicy policy = ReplanPolicy::kReoptimizeAll;
-  IncrementalReplanConfig incremental;  ///< used by kIncremental
+  ReplanPolicy policy = ReplanPolicy::kIncremental;
 };
 
 /// How a day's plan was produced (DayResult::mode).
 enum class ReplanMode {
   kNone,         ///< empty book: nothing to plan
-  kFull,         ///< full Solve (kReoptimizeAll, or incremental fallback)
+  kFull,         ///< full Solve (kReoptimizeAll, or an unsolved book)
   kIncremental,  ///< warm-started restricted re-optimization
   kGreedy,       ///< kLockExisting's greedy completion
 };
@@ -94,8 +80,9 @@ struct DayResult {
   /// Advertisers handed to the restricted re-optimization (kIncremental
   /// only; 0 under the other policies).
   int32_t reoptimized_advertisers = 0;
-  /// True when kIncremental abandoned the warm start and ran a full solve
-  /// (drift bound exceeded, or no prior full solve to drift from).
+  /// True when kIncremental ran a full solve because the market had not
+  /// solved its book yet: its first non-empty day, or the first day after
+  /// RestoreBook.
   bool full_solve_fallback = false;
   /// How this day's plan was produced.
   ReplanMode mode = ReplanMode::kNone;
@@ -131,28 +118,27 @@ class DailyMarket {
   /// next replan — under kLockExisting the freed billboards go to
   /// still-unsatisfied contracts, under kIncremental they seed the blast
   /// radius, under kReoptimizeAll the whole market re-solves anyway.
-  /// O(1) ticket lookup via an internal ticket->index map, so
-  /// cancellation-heavy churn does not scan the book. Returns false when
-  /// no active contract holds the ticket (already expired, cancelled, or
-  /// never issued).
+  /// The ticket map finds the contract without a search; the contracts
+  /// behind it shift down one position. Returns false when no active
+  /// contract holds the ticket (already expired, cancelled, or never
+  /// issued).
   bool Cancel(int64_t ticket);
 
   int32_t today() const { return day_; }
   int32_t active_contracts() const {
-    return static_cast<int32_t>(contracts_.size());
+    return static_cast<int32_t>(tickets_.size());
   }
 
-  /// Billboard sets currently deployed, aligned with active contracts.
+  /// The book: terms of the active contracts (ids are their dense
+  /// positions), the billboard sets deployed to them, and their tickets,
+  /// all aligned.
   const std::vector<market::Advertiser>& ActiveTerms() const {
-    return terms_cache_;
+    return terms_;
   }
   const std::vector<std::vector<model::BillboardId>>& ActiveSets() const {
-    return sets_cache_;
+    return sets_;
   }
-  /// Tickets of the active contracts, aligned with ActiveTerms/ActiveSets.
-  const std::vector<int64_t>& ActiveTickets() const {
-    return tickets_cache_;
-  }
+  const std::vector<int64_t>& ActiveTickets() const { return tickets_; }
 
   /// Snapshots the open book — day, ticket sequence, and every active
   /// contract with its deployment — into the portable form the snapshot
@@ -166,14 +152,19 @@ class DailyMarket {
   void RestoreBook(const market::ContractBook& book);
 
  private:
-  struct Contract {
-    market::Advertiser terms;  ///< id field is the current dense id
-    int64_t ticket = 0;        ///< stable external id (1, 2, ...)
-    int32_t expires_on = 0;    ///< first day the contract is gone
-    std::vector<model::BillboardId> billboards;
-  };
+  /// Appends a contract to the book and the ticket map.
+  void Append(market::Advertiser terms, int64_t ticket, int32_t expires_on,
+              std::vector<model::BillboardId> billboards);
 
-  void RefreshCaches();
+  /// Removes the contracts `gone` selects, by position, and moves their
+  /// billboards into the churn pool. Survivors behind the first gap take
+  /// new dense ids and ticket-map entries. Returns how many went.
+  int32_t RemoveIf(const std::function<bool(size_t)>& gone);
+
+  /// Replaces the deployed sets by today's `plan`, counting the boards
+  /// whose owner changed into `result->boards_touched`.
+  void Deploy(std::vector<std::vector<model::BillboardId>> plan,
+              DayResult* result);
 
   /// Runs the kIncremental replan for the current roster. `first_new` is
   /// the dense index of the first of today's arrivals; `churn` holds the
@@ -183,27 +174,29 @@ class DailyMarket {
                          const std::vector<model::BillboardId>& churn,
                          DayResult* result);
 
-  /// Full Solve over the active roster (the kReoptimizeAll day and the
-  /// incremental fallback share it so both are bit-identical).
+  /// Full Solve over the active roster (the kReoptimizeAll day and
+  /// kIncremental's first day share it so both are bit-identical).
   void ReplanFull(DayResult* result);
 
   const influence::InfluenceIndex* index_;
   DailyMarketConfig config_;
   int32_t day_ = 0;
   int64_t next_ticket_ = 1;
-  std::vector<Contract> contracts_;
-  std::vector<market::Advertiser> terms_cache_;
-  std::vector<std::vector<model::BillboardId>> sets_cache_;
-  std::vector<int64_t> tickets_cache_;
-  /// ticket -> index in contracts_, kept in sync by RefreshCaches and
-  /// Cancel so cancellations resolve without scanning the book.
+  std::vector<market::Advertiser> terms_;
+  std::vector<std::vector<model::BillboardId>> sets_;
+  std::vector<int64_t> tickets_;
+  /// First day each contract is gone, aligned with the book.
+  std::vector<int32_t> expires_on_;
+  /// ticket -> position in the book, so cancellations resolve without
+  /// scanning it.
   std::unordered_map<int64_t, size_t> ticket_index_;
   /// Billboards released by expiry/cancellation since the last replan.
   std::vector<model::BillboardId> churn_released_;
   int32_t cancelled_since_last_day_ = 0;
-  /// Total regret of the last full solve — the drift anchor.
-  double last_full_regret_ = 0.0;
-  bool have_full_solve_ = false;
+  /// Whether this market has solved its book. A restored book was solved
+  /// by another market, so kIncremental's first non-empty day after
+  /// construction runs a full Solve either way.
+  bool solved_ = false;
 };
 
 }  // namespace mroam::core

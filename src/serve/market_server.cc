@@ -827,7 +827,13 @@ void MarketServer::Stop() {
   //    are answered with Connection: close, in-flight handlers finish,
   //    and every connection closes. The batcher switches to immediate
   //    flush so queued arrivals commit fast.
-  draining_.store(true);
+  // The flush loop's wait predicates read draining_ and stopping_: each
+  // is set under batch_mu_, or the loop could test its predicate, miss
+  // the notify, and sleep through the drain.
+  {
+    std::lock_guard<std::mutex> lock(batch_mu_);
+    draining_.store(true);
+  }
   batch_cv_.notify_all();
   if (loop_) loop_->RequestStop();
   if (loop_thread_.joinable()) loop_thread_.join();
@@ -845,7 +851,10 @@ void MarketServer::Stop() {
   //    exit, then persist whatever MROAM_TRACE collected. Ticket polls
   //    for the drained batch would answer committed — the table outlives
   //    the sockets.
-  stopping_.store(true);
+  {
+    std::lock_guard<std::mutex> lock(batch_mu_);
+    stopping_.store(true);
+  }
   batch_cv_.notify_all();
   if (flush_thread_.joinable()) flush_thread_.join();
   loop_.reset();

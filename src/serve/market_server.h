@@ -38,9 +38,10 @@ struct MarketServerConfig {
   /// market "day" (core::DailyMarket::AdvanceDay).
   int max_batch = 64;
   double max_batch_delay_seconds = 0.05;
-  /// Day-loop configuration: replan policy (either ReplanPolicy works),
-  /// solver, contract duration in days — where one "day" is one admission
-  /// batch flush.
+  /// Day-loop configuration: replan policy (all three work; the default,
+  /// kIncremental with BLS full solves, is what contractbench's
+  /// market_mixed gates), solver, contract duration in days — where one
+  /// "day" is one admission batch flush.
   core::DailyMarketConfig market;
 
   // --- Overload contract (DESIGN.md §6.2) --------------------------------

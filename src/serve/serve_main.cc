@@ -27,9 +27,11 @@
 
 #include <signal.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -58,18 +60,17 @@ struct Options {
   bool mmap = false;          // zero-copy --snapshot boot
   std::string save_snapshot;  // save path ("" = none)
   std::string gen;            // "nyc" | "sg" | ""
-  int32_t gen_billboards = 400;
-  int32_t gen_trajectories = 20000;
+  int gen_billboards = 400;
+  int gen_trajectories = 20000;
   double lambda = 100.0;
   uint64_t seed = 42;
   int port = 8080;
   int threads = 4;
   int batch_max = 64;
   double batch_delay_ms = 50.0;
-  std::string policy = "lock";  // "lock" | "reopt" | "incremental"
-  std::string method = "gglobal";
-  double replan_drift = 0.1;  // --policy incremental: fallback bound
-  int32_t duration_days = 7;
+  mroam::core::ReplanPolicy policy = mroam::core::ReplanPolicy::kIncremental;
+  mroam::core::Method method = mroam::core::Method::kBls;
+  int duration_days = 7;
   bool once = false;  // start, print, stop — for smoke tests
   // Overload contract knobs (MarketServerConfig defaults).
   int read_idle_timeout_ms = 5000;
@@ -108,13 +109,9 @@ options:
   --batch-max N          admission batch size (default 64)
   --batch-delay-ms F     max admission delay before flush (default 50)
   --policy lock|reopt|incremental
-                         replan policy (default lock)
-  --replan-drift F       with --policy incremental: regret drift allowed
-                         before a full-solve fallback, as a fraction of
-                         the active payment volume; negative forces a
-                         full solve every day (default 0.1)
+                         replan policy (default incremental)
   --method gorder|gglobal|als|bls
-                         solver for full solves (default gglobal)
+                         solver for full solves (default bls)
   --duration-days N      contract term in batch-days (default 7)
   --once                 start, print the port, shut down (smoke test)
 
@@ -151,11 +148,73 @@ bool ParseFlag(int argc, char** argv, int* i, std::string_view name,
   return true;
 }
 
+mroam::common::Result<mroam::core::ReplanPolicy> PolicyFromName(
+    const std::string& name) {
+  using mroam::core::ReplanPolicy;
+  if (name == "lock") return ReplanPolicy::kLockExisting;
+  if (name == "reopt") return ReplanPolicy::kReoptimizeAll;
+  if (name == "incremental") return ReplanPolicy::kIncremental;
+  return Status::InvalidArgument(
+      "--policy must be lock, reopt, or incremental, got '" + name + "'");
+}
+
+mroam::common::Result<mroam::core::Method> MethodFromName(
+    const std::string& name) {
+  using mroam::core::Method;
+  if (name == "gorder") return Method::kGOrder;
+  if (name == "gglobal") return Method::kGGlobal;
+  if (name == "als") return Method::kAls;
+  if (name == "bls") return Method::kBls;
+  return Status::InvalidArgument("unknown --method '" + name + "'");
+}
+
 Status ParseOptions(int argc, char** argv, Options* options) {
+  constexpr int64_t kMin = std::numeric_limits<int>::min();
+  constexpr int64_t kMax = std::numeric_limits<int>::max();
+  // Integer flags and their accepted ranges: what the city generator,
+  // MarketServer and DailyMarket would otherwise CHECK-fail on, and no
+  // value the int fields would truncate.
+  struct IntFlag {
+    std::string_view name;
+    int* out;
+    int64_t min;
+    int64_t max;
+  };
+  const IntFlag int_flags[] = {
+      {"billboards", &options->gen_billboards, 1, kMax},
+      {"trajectories", &options->gen_trajectories, kMin, kMax},
+      {"port", &options->port, 0, 65535},
+      {"threads", &options->threads, 1, kMax},
+      {"batch-max", &options->batch_max, 1, kMax},
+      {"duration-days", &options->duration_days, 1, kMax},
+      {"read-idle-timeout-ms", &options->read_idle_timeout_ms, kMin, kMax},
+      {"request-timeout-ms", &options->request_timeout_ms, kMin, kMax},
+      {"write-timeout-ms", &options->write_timeout_ms, kMin, kMax},
+      {"max-connections", &options->max_connections, 1, kMax},
+      {"max-queue", &options->max_queue, 1, kMax},
+      {"degraded-watermark", &options->degraded_watermark, 1, kMax},
+      {"ticket-history", &options->ticket_history, 1, kMax},
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string value;
-    if (arg == "--help" || arg == "-h") {
+    const IntFlag* int_flag = nullptr;
+    for (const IntFlag& flag : int_flags) {
+      if (ParseFlag(argc, argv, &i, flag.name, &value)) {
+        int_flag = &flag;
+        break;
+      }
+    }
+    if (int_flag != nullptr) {
+      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
+      if (n < int_flag->min || n > int_flag->max) {
+        return Status::InvalidArgument(
+            "--" + std::string(int_flag->name) + " must lie in [" +
+            std::to_string(int_flag->min) + ", " +
+            std::to_string(int_flag->max) + "], got " + value);
+      }
+      *int_flag->out = static_cast<int>(n);
+    } else if (arg == "--help" || arg == "-h") {
       PrintUsage();
       std::exit(0);
     } else if (arg == "--once") {
@@ -165,61 +224,38 @@ Status ParseOptions(int argc, char** argv, Options* options) {
     } else if (ParseFlag(argc, argv, &i, "snapshot", &options->snapshot) ||
                ParseFlag(argc, argv, &i, "save-snapshot",
                          &options->save_snapshot) ||
-               ParseFlag(argc, argv, &i, "gen", &options->gen) ||
-               ParseFlag(argc, argv, &i, "policy", &options->policy) ||
-               ParseFlag(argc, argv, &i, "method", &options->method)) {
+               ParseFlag(argc, argv, &i, "gen", &options->gen)) {
       // handled
-    } else if (ParseFlag(argc, argv, &i, "billboards", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->gen_billboards = static_cast<int32_t>(n);
-    } else if (ParseFlag(argc, argv, &i, "trajectories", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->gen_trajectories = static_cast<int32_t>(n);
+    } else if (ParseFlag(argc, argv, &i, "policy", &value)) {
+      MROAM_ASSIGN_OR_RETURN(options->policy, PolicyFromName(value));
+    } else if (ParseFlag(argc, argv, &i, "method", &value)) {
+      MROAM_ASSIGN_OR_RETURN(options->method, MethodFromName(value));
     } else if (ParseFlag(argc, argv, &i, "lambda", &value)) {
       MROAM_ASSIGN_OR_RETURN(options->lambda, ParseDouble(value));
+      if (!std::isfinite(options->lambda) || options->lambda <= 0.0) {
+        return Status::InvalidArgument(
+            "--lambda must be a finite number > 0, got " + value);
+      }
     } else if (ParseFlag(argc, argv, &i, "seed", &value)) {
       MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
       options->seed = static_cast<uint64_t>(n);
-    } else if (ParseFlag(argc, argv, &i, "port", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->port = static_cast<int>(n);
-    } else if (ParseFlag(argc, argv, &i, "threads", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->threads = static_cast<int>(n);
-    } else if (ParseFlag(argc, argv, &i, "batch-max", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->batch_max = static_cast<int>(n);
     } else if (ParseFlag(argc, argv, &i, "batch-delay-ms", &value)) {
       MROAM_ASSIGN_OR_RETURN(options->batch_delay_ms, ParseDouble(value));
-    } else if (ParseFlag(argc, argv, &i, "replan-drift", &value)) {
-      MROAM_ASSIGN_OR_RETURN(options->replan_drift, ParseDouble(value));
-    } else if (ParseFlag(argc, argv, &i, "duration-days", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->duration_days = static_cast<int32_t>(n);
-    } else if (ParseFlag(argc, argv, &i, "read-idle-timeout-ms", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->read_idle_timeout_ms = static_cast<int>(n);
-    } else if (ParseFlag(argc, argv, &i, "request-timeout-ms", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->request_timeout_ms = static_cast<int>(n);
-    } else if (ParseFlag(argc, argv, &i, "write-timeout-ms", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->write_timeout_ms = static_cast<int>(n);
-    } else if (ParseFlag(argc, argv, &i, "max-connections", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->max_connections = static_cast<int>(n);
-    } else if (ParseFlag(argc, argv, &i, "max-queue", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->max_queue = static_cast<int>(n);
-    } else if (ParseFlag(argc, argv, &i, "degraded-watermark", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->degraded_watermark = static_cast<int>(n);
-    } else if (ParseFlag(argc, argv, &i, "ticket-history", &value)) {
-      MROAM_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      options->ticket_history = static_cast<int>(n);
+      if (!std::isfinite(options->batch_delay_ms) ||
+          options->batch_delay_ms < 0.0) {
+        return Status::InvalidArgument(
+            "--batch-delay-ms must be a finite number >= 0, got " + value);
+      }
     } else {
       return Status::InvalidArgument("unknown flag '" + arg + "'");
     }
+  }
+  if (options->degraded_watermark > options->max_queue) {
+    return Status::InvalidArgument(
+        "--degraded-watermark (" +
+        std::to_string(options->degraded_watermark) +
+        ") must not exceed --max-queue (" +
+        std::to_string(options->max_queue) + ")");
   }
   if (options->snapshot.empty() == options->gen.empty()) {
     return Status::InvalidArgument(
@@ -233,23 +269,7 @@ Status ParseOptions(int argc, char** argv, Options* options) {
     return Status::InvalidArgument("--gen must be nyc or sg, got '" +
                                    options->gen + "'");
   }
-  if (options->policy != "lock" && options->policy != "reopt" &&
-      options->policy != "incremental") {
-    return Status::InvalidArgument(
-        "--policy must be lock, reopt, or incremental, got '" +
-        options->policy + "'");
-  }
   return Status::Ok();
-}
-
-mroam::common::Result<mroam::core::Method> MethodFromName(
-    const std::string& name) {
-  using mroam::core::Method;
-  if (name == "gorder") return Method::kGOrder;
-  if (name == "gglobal") return Method::kGGlobal;
-  if (name == "als") return Method::kAls;
-  if (name == "bls") return Method::kBls;
-  return Status::InvalidArgument("unknown --method '" + name + "'");
 }
 
 /// Boots the index (and the book) per the chosen path. On the snapshot
@@ -362,20 +382,8 @@ int Run(const Options& options) {
   config.degraded_watermark = options.degraded_watermark;
   config.ticket_history = options.ticket_history;
   config.market.contract_duration_days = options.duration_days;
-  if (options.policy == "reopt") {
-    config.market.policy = mroam::core::ReplanPolicy::kReoptimizeAll;
-  } else if (options.policy == "incremental") {
-    config.market.policy = mroam::core::ReplanPolicy::kIncremental;
-  } else {
-    config.market.policy = mroam::core::ReplanPolicy::kLockExisting;
-  }
-  config.market.incremental.max_regret_drift = options.replan_drift;
-  auto method = MethodFromName(options.method);
-  if (!method.ok()) {
-    MROAM_LOG(Error) << method.status().ToString();
-    return 2;
-  }
-  config.market.solver.method = *method;
+  config.market.policy = options.policy;
+  config.market.solver.method = options.method;
   config.market.solver.seed = options.seed;
   config.initial_book = *book;
 

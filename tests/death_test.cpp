@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/assignment.h"
+#include "core/daily_market.h"
 #include "test_util.h"
 
 namespace mroam::core {
@@ -63,6 +64,19 @@ TEST_F(AssignmentDeathTest, InvalidGammaCrashes) {
 TEST_F(AssignmentDeathTest, NonPositiveDemandCrashes) {
   EXPECT_DEATH(Assignment(&index_, {Adv(0, 0, 4.0)}, RegretParams{0.5}),
                "Check failed");
+}
+
+// RestoreBook resumes a book only in a fresh market: restoring into one
+// that has advanced would interleave two books' days and tickets.
+TEST(DailyMarketDeathTest, RestoreBookIntoAdvancedMarketCrashes) {
+  model::Dataset dataset;
+  const influence::InfluenceIndex index =
+      IndexFromIncidence({{0}, {1}}, 2, &dataset);
+  DailyMarket advanced(&index, DailyMarketConfig{});
+  advanced.AdvanceDay({Adv(0, 1, 2.0)});
+  const market::ContractBook book = advanced.ExportBook();
+  EXPECT_DEATH(advanced.RestoreBook(book),
+               "RestoreBook requires a fresh market");
 }
 
 // FromIncidence is a public ingestion point, so its precondition checks

@@ -1,9 +1,9 @@
-// Equivalence and churn-handling suite for ReplanPolicy::kIncremental:
-// the warm-started replanner must match the full re-solve bit for bit
-// when its drift bound forces a daily fallback, stay within the bound on
-// mixed churn schedules — on plain and compressed indexes alike — fall
-// back when a day's churn makes the warm start drift too far, and keep
-// the market's ticket bookkeeping intact under cancellation-heavy churn.
+// Churn-handling suite for ReplanPolicy::kIncremental: the warm-started
+// replanner runs a full solve only on a book the market has not solved
+// yet (its first non-empty day, and the first day after RestoreBook),
+// replans identically on plain and compressed indexes, carries a book
+// across ExportBook/RestoreBook, and keeps the market's ticket
+// bookkeeping intact under cancellation-heavy churn.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -55,15 +55,13 @@ std::vector<std::vector<market::Advertiser>> RandomSchedule(
 }
 
 /// Drives one market through `schedule`, cancelling an early ticket every
-/// third day (identically for every policy, since tickets are monotone
-/// and roster-driven). Returns the per-day results; `final_payment_sum`
-/// and `final_sets` (optional) receive the payment volume and the
-/// deployment of the final active book.
+/// third day (identically for every index, since tickets are monotone
+/// and roster-driven). Returns the per-day results; `final_sets` receives
+/// the deployment of the final active book.
 std::vector<DayResult> Drive(
     const influence::InfluenceIndex& index, DailyMarketConfig config,
     const std::vector<std::vector<market::Advertiser>>& schedule,
-    double* final_payment_sum = nullptr,
-    std::vector<std::vector<model::BillboardId>>* final_sets = nullptr) {
+    std::vector<std::vector<model::BillboardId>>* final_sets) {
   DailyMarket market(&index, config);
   std::vector<DayResult> days;
   for (size_t d = 0; d < schedule.size(); ++d) {
@@ -73,20 +71,13 @@ std::vector<DayResult> Drive(
     }
     days.push_back(market.AdvanceDay(schedule[d]));
   }
-  if (final_payment_sum != nullptr) {
-    *final_payment_sum = 0.0;
-    for (const market::Advertiser& a : market.ActiveTerms()) {
-      *final_payment_sum += a.payment;
-    }
-  }
-  if (final_sets != nullptr) *final_sets = market.ActiveSets();
+  *final_sets = market.ActiveSets();
   return days;
 }
 
-DailyMarketConfig BaseConfig(ReplanPolicy policy,
-                             uint16_t impression_threshold) {
+DailyMarketConfig BaseConfig(uint16_t impression_threshold) {
   DailyMarketConfig config;
-  config.policy = policy;
+  config.policy = ReplanPolicy::kIncremental;
   config.contract_duration_days = 3;
   config.solver.method = Method::kGGlobal;
   config.solver.impression_threshold = impression_threshold;
@@ -101,53 +92,12 @@ TEST(IncrementalReplanTest, NamesCoverNewPolicyAndModes) {
   EXPECT_STREQ(ReplanModeName(ReplanMode::kGreedy), "greedy");
 }
 
-// With a negative drift bound the incremental policy must run the same
-// full Solve as kReoptimizeAll every day, so every day's regret (and the
-// final deployment) is bit-identical across randomized churn schedules
-// under both influence models.
-TEST(IncrementalReplanTest, NegativeDriftMatchesReoptimizeAllExactly) {
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    for (uint16_t threshold : {uint16_t{1}, uint16_t{3}}) {
-      common::Rng gen_rng(seed);
-      model::Dataset dataset;
-      auto index = IndexFromIncidence(RandomIncidence(&gen_rng, 20, 60), 60,
-                                      &dataset);
-      common::Rng schedule_rng(seed + 100);
-      auto schedule = RandomSchedule(&schedule_rng, 8);
-
-      auto reopt = Drive(index,
-                         BaseConfig(ReplanPolicy::kReoptimizeAll, threshold),
-                         schedule);
-      DailyMarketConfig config =
-          BaseConfig(ReplanPolicy::kIncremental, threshold);
-      config.incremental.max_regret_drift = -1.0;
-      auto incremental = Drive(index, config, schedule);
-
-      ASSERT_EQ(reopt.size(), incremental.size());
-      for (size_t d = 0; d < reopt.size(); ++d) {
-        SCOPED_TRACE("seed " + std::to_string(seed) + " threshold " +
-                     std::to_string(threshold) + " day " +
-                     std::to_string(d + 1));
-        EXPECT_DOUBLE_EQ(incremental[d].breakdown.total,
-                         reopt[d].breakdown.total);
-        if (incremental[d].active_contracts > 0) {
-          EXPECT_TRUE(incremental[d].full_solve_fallback);
-          EXPECT_EQ(incremental[d].mode, ReplanMode::kFull);
-        }
-      }
-    }
-  }
-}
-
-// With a finite drift bound the incremental plan may diverge from the
-// full re-solve, but only within the bound: final regret stays within
-// max_regret_drift * (active payment volume) of kReoptimizeAll's, and at
-// least one day actually replans incrementally (the policy is not just
-// falling back every day). The same schedule driven over the index's
-// compressed twin (the mmap serving shape, whose blast radius walks the
-// blobs) replans identically, day by day.
-TEST(IncrementalReplanTest, DriftBoundHoldsAcrossRandomizedSchedules) {
-  const double drift = 0.3;
+// On randomized churn schedules the market solves in full only on its
+// first non-empty day and replans every later day incrementally. The
+// same schedule driven over the index's compressed twin (the mmap serving
+// shape, whose blast radius walks the blobs) replans identically, day by
+// day.
+TEST(IncrementalReplanTest, OnlyTheFirstBookIsSolvedInFull) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     for (uint16_t threshold : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
       common::Rng gen_rng(seed);
@@ -158,25 +108,26 @@ TEST(IncrementalReplanTest, DriftBoundHoldsAcrossRandomizedSchedules) {
       common::Rng schedule_rng(seed + 100);
       auto schedule = RandomSchedule(&schedule_rng, 8);
 
-      auto reopt = Drive(index,
-                         BaseConfig(ReplanPolicy::kReoptimizeAll, threshold),
-                         schedule);
-      DailyMarketConfig config =
-          BaseConfig(ReplanPolicy::kIncremental, threshold);
-      config.incremental.max_regret_drift = drift;
-      double payment_sum = 0.0;
+      const DailyMarketConfig config = BaseConfig(threshold);
       std::vector<std::vector<model::BillboardId>> sets;
-      auto incremental = Drive(index, config, schedule, &payment_sum, &sets);
+      auto incremental = Drive(index, config, schedule, &sets);
       std::vector<std::vector<model::BillboardId>> twin_sets;
-      auto twin_days = Drive(twin, config, schedule, nullptr, &twin_sets);
+      auto twin_days = Drive(twin, config, schedule, &twin_sets);
 
       SCOPED_TRACE("seed " + std::to_string(seed) + " threshold " +
                    std::to_string(threshold));
-      ASSERT_EQ(reopt.size(), incremental.size());
-      EXPECT_LE(incremental.back().breakdown.total,
-                reopt.back().breakdown.total + drift * payment_sum + 1e-6);
       int incremental_days = 0;
-      for (const DayResult& day : incremental) {
+      bool solved = false;
+      for (size_t d = 0; d < incremental.size(); ++d) {
+        SCOPED_TRACE("day " + std::to_string(d + 1));
+        const DayResult& day = incremental[d];
+        const bool first = !solved && day.active_contracts > 0;
+        solved = solved || first;
+        EXPECT_EQ(day.full_solve_fallback, first);
+        if (day.active_contracts > 0) {
+          EXPECT_EQ(day.mode,
+                    first ? ReplanMode::kFull : ReplanMode::kIncremental);
+        }
         if (day.mode == ReplanMode::kIncremental) ++incremental_days;
       }
       EXPECT_GE(incremental_days, 1);
@@ -211,12 +162,11 @@ class IncrementalReplanFixtureTest : public ::testing::Test {
       : index_(IndexFromIncidence({{0}, {1}, {2}, {3}, {4}, {5}}, 6,
                                   &dataset_)) {}
 
-  DailyMarketConfig Config(double drift) {
+  DailyMarketConfig Config() {
     DailyMarketConfig config;
     config.policy = ReplanPolicy::kIncremental;
     config.contract_duration_days = 7;
     config.solver.method = Method::kGGlobal;
-    config.incremental.max_regret_drift = drift;
     return config;
   }
 
@@ -224,10 +174,14 @@ class IncrementalReplanFixtureTest : public ::testing::Test {
   influence::InfluenceIndex index_;
 };
 
-// The first non-empty day has no drift anchor, so it must fall back to a
-// full solve; once anchored, a churn-free day replans incrementally.
-TEST_F(IncrementalReplanFixtureTest, FirstDayFallsBackToEstablishAnchor) {
-  DailyMarket market(&index_, Config(0.1));
+// The first non-empty day has no plan of the market's own to warm-start
+// from, so it runs a full solve, even after an empty first day; the next
+// day replans incrementally.
+TEST_F(IncrementalReplanFixtureTest, FirstNonEmptyDaySolvesInFull) {
+  DailyMarket market(&index_, Config());
+  DayResult empty = market.AdvanceDay({});
+  EXPECT_EQ(empty.mode, ReplanMode::kNone);
+  EXPECT_FALSE(empty.full_solve_fallback);
   DayResult day1 = market.AdvanceDay({Adv(0, 2, 4.0)});
   EXPECT_TRUE(day1.full_solve_fallback);
   EXPECT_EQ(day1.mode, ReplanMode::kFull);
@@ -237,30 +191,56 @@ TEST_F(IncrementalReplanFixtureTest, FirstDayFallsBackToEstablishAnchor) {
   EXPECT_EQ(day2.breakdown.satisfied_count, 2);
 }
 
-// A zero drift bound tolerates no regret above the anchor: when a new
-// arrival cannot be satisfied from the warm start, the day must re-solve
-// in full (and still end at the same regret, since no plan can help).
-TEST_F(IncrementalReplanFixtureTest, DriftBreachForcesFullSolve) {
-  DailyMarket market(&index_, Config(0.0));
+// An arrival the warm start cannot serve (the incumbent holds all six
+// boards) leaves regret above zero, and the day still replans
+// incrementally: only an unsolved book runs a full solve.
+TEST_F(IncrementalReplanFixtureTest, UnservableArrivalStaysIncremental) {
+  DailyMarket market(&index_, Config());
   DayResult day1 = market.AdvanceDay({Adv(0, 6, 12.0)});  // takes all six
-  EXPECT_DOUBLE_EQ(day1.breakdown.total, 0.0);  // anchor at zero regret
+  EXPECT_DOUBLE_EQ(day1.breakdown.total, 0.0);
   DayResult day2 = market.AdvanceDay({Adv(0, 2, 4.0)});
-  EXPECT_TRUE(day2.full_solve_fallback);
-  EXPECT_EQ(day2.mode, ReplanMode::kFull);
+  EXPECT_FALSE(day2.full_solve_fallback);
+  EXPECT_EQ(day2.mode, ReplanMode::kIncremental);
   EXPECT_GT(day2.breakdown.total, 0.0);
+}
 
-  // A permissive bound keeps the warm start on the identical schedule.
-  DailyMarket loose(&index_, Config(100.0));
-  loose.AdvanceDay({Adv(0, 6, 12.0)});
-  DayResult loose_day2 = loose.AdvanceDay({Adv(0, 2, 4.0)});
-  EXPECT_FALSE(loose_day2.full_solve_fallback);
-  EXPECT_EQ(loose_day2.mode, ReplanMode::kIncremental);
+// A restart: the book of a market that has churned for a few days goes
+// through ExportBook into a fresh market's RestoreBook. Day, tickets,
+// deployment and the ticket sequence carry over; the restored market has
+// not solved that book itself, so its first day is a full solve and the
+// day after replans incrementally.
+TEST_F(IncrementalReplanFixtureTest, RestoredBookSolvesInFullOnce) {
+  DailyMarket original(&index_, Config());
+  original.AdvanceDay({Adv(0, 2, 4.0), Adv(0, 1, 2.0)});
+  ASSERT_TRUE(original.Cancel(1));
+  original.AdvanceDay({Adv(0, 2, 4.0)});
+  original.AdvanceDay({Adv(0, 1, 3.0)});
+  const market::ContractBook book = original.ExportBook();
+
+  DailyMarket restored(&index_, Config());
+  restored.RestoreBook(book);
+  EXPECT_EQ(restored.today(), original.today());
+  EXPECT_EQ(restored.ActiveTickets(), original.ActiveTickets());
+  EXPECT_EQ(restored.ActiveTickets(), (std::vector<int64_t>{2, 3, 4}));
+  EXPECT_EQ(restored.ActiveSets(), original.ActiveSets());
+
+  DayResult first = restored.AdvanceDay({Adv(0, 1, 2.0)});
+  EXPECT_EQ(first.admitted_tickets,
+            original.AdvanceDay({Adv(0, 1, 2.0)}).admitted_tickets);
+  EXPECT_EQ(first.admitted_tickets, (std::vector<int64_t>{5}));
+  EXPECT_EQ(first.day, 4);
+  EXPECT_EQ(first.mode, ReplanMode::kFull);
+  EXPECT_TRUE(first.full_solve_fallback);
+
+  DayResult second = restored.AdvanceDay({Adv(0, 1, 2.0)});
+  EXPECT_EQ(second.mode, ReplanMode::kIncremental);
+  EXPECT_FALSE(second.full_solve_fallback);
 }
 
 // A quiet day (no arrivals, expiries, or cancellations) with a satisfied
 // book must not move a single billboard under the incremental policy.
 TEST_F(IncrementalReplanFixtureTest, QuietDayTouchesNoBoards) {
-  DailyMarket market(&index_, Config(0.1));
+  DailyMarket market(&index_, Config());
   market.AdvanceDay({Adv(0, 2, 4.0), Adv(0, 3, 6.0)});
   std::vector<std::vector<model::BillboardId>> before = market.ActiveSets();
   for (auto& set : before) std::sort(set.begin(), set.end());
@@ -280,7 +260,7 @@ TEST_F(IncrementalReplanFixtureTest, QuietDayTouchesNoBoards) {
 // next day's blast radius, so a same-sized newcomer is served from it
 // without disturbing the other incumbent.
 TEST_F(IncrementalReplanFixtureTest, CancelChurnServesNewcomer) {
-  DailyMarket market(&index_, Config(0.1));
+  DailyMarket market(&index_, Config());
   DayResult day1 = market.AdvanceDay({Adv(0, 3, 6.0), Adv(0, 3, 9.0)});
   EXPECT_EQ(day1.breakdown.satisfied_count, 2);
   const int64_t first_ticket = day1.admitted_tickets[0];
@@ -304,7 +284,7 @@ TEST_F(IncrementalReplanFixtureTest, CancelChurnServesNewcomer) {
 // later ticket still resolves (the ticket->index map is re-synced), the
 // dense caches stay aligned, and double-cancel reports false.
 TEST_F(IncrementalReplanFixtureTest, CancelKeepsTicketBookkeepingInSync) {
-  DailyMarket market(&index_, Config(0.1));
+  DailyMarket market(&index_, Config());
   DayResult day1 = market.AdvanceDay(
       {Adv(0, 1, 2.0), Adv(0, 1, 3.0), Adv(0, 1, 4.0), Adv(0, 1, 5.0)});
   ASSERT_EQ(day1.admitted_tickets.size(), 4u);
@@ -333,7 +313,7 @@ TEST_F(IncrementalReplanFixtureTest, CancelKeepsTicketBookkeepingInSync) {
 // count equals active contracts on this disjoint fixture whenever supply
 // suffices).
 TEST_F(IncrementalReplanFixtureTest, CancelHeavyChurnStress) {
-  DailyMarketConfig config = Config(0.5);
+  DailyMarketConfig config = Config();
   config.contract_duration_days = 2;
   DailyMarket market(&index_, config);
   common::Rng rng(9);
