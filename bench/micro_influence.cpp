@@ -169,8 +169,12 @@ influence::InfluenceIndex& SmallCompressedIndex() {
         influence::InfluenceIndex::FromCompressed(
             cindex::CompressedPostings::Build(plain.covered(),
                                               plain.num_covered()),
-            cindex::CompressedPostings::Build(plain.covering(),
-                                              plain.num_billboards()),
+            cindex::CompressedPostings::Build(
+                plain.num_covered(),
+                [&plain](model::TrajectoryId t) {
+                  return plain.CoveringOf(t);
+                },
+                plain.num_billboards()),
             cindex::CompressedPostings::Build({plain.dataset_ids()},
                                               plain.num_trajectories()),
             plain.lambda()));

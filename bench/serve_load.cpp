@@ -34,6 +34,9 @@
 //   serve_load [--submissions N] [--clients N]
 //              [--batch-max N] [--batch-delay-ms F]
 //              [--skip-overload] [--skip-openloop]
+//
+// A value it cannot run with (not a whole int or a finite number, a count
+// below 1, a negative delay) exits 2 before the city is built.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -42,10 +45,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -679,38 +684,55 @@ int Run(const LoadOptions& options) {
 
 int main(int argc, char** argv) {
   mroam::bench::LoadOptions options;
+  // A whole int of at least `min`; anything else is a usage error, caught
+  // before the city is built.
+  const auto parse_int = [](const char* text, int min, int* out) {
+    const auto n = mroam::common::ParseInt64(text);
+    if (!n.ok() || *n < min || *n > std::numeric_limits<int>::max()) {
+      return false;
+    }
+    *out = static_cast<int>(*n);
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    const char* value = "";
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "flag %s needs a value\n", arg.c_str());
         std::exit(2);
       }
-      return argv[++i];
+      value = argv[++i];
+      return value;
     };
+    bool ok = true;
     if (arg == "--submissions") {
-      options.submissions = std::atoi(next());
+      ok = parse_int(next(), 1, &options.submissions);
     } else if (arg == "--clients") {
-      options.clients = std::atoi(next());
+      ok = parse_int(next(), 1, &options.clients);
     } else if (arg == "--batch-max") {
-      options.batch_max = std::atoi(next());
+      ok = parse_int(next(), 1, &options.batch_max);
     } else if (arg == "--batch-delay-ms") {
-      options.batch_delay_ms = std::atof(next());
+      const auto ms = mroam::common::ParseDouble(next());
+      ok = ms.ok() && std::isfinite(*ms) && *ms >= 0.0;
+      if (ok) options.batch_delay_ms = *ms;
     } else if (arg == "--skip-overload") {
       options.skip_overload = true;
     } else if (arg == "--skip-openloop") {
       options.skip_openloop = true;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
-                   "usage: serve_load [--submissions N] [--clients N] "
-                   "[--batch-max N] [--batch-delay-ms F] "
-                   "[--skip-overload] [--skip-openloop]\n");
+                   "bad flag or value: %s %s\n"
+                   "usage: serve_load [--submissions N>=1] "
+                   "[--clients N>=1] [--batch-max N>=1] "
+                   "[--batch-delay-ms F>=0] "
+                   "[--skip-overload] [--skip-openloop]\n",
+                   arg.c_str(), value);
       return 2;
     }
-  }
-  if (options.submissions < 1 || options.clients < 1) {
-    std::fprintf(stderr, "submissions and clients must be positive\n");
-    return 2;
   }
   return mroam::bench::Run(options);
 }

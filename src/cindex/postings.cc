@@ -82,17 +82,21 @@ common::Status Corrupt(const std::string& what) {
 }  // namespace
 
 CompressedPostings CompressedPostings::Build(
-    const std::vector<std::vector<int32_t>>& lists, int32_t universe) {
+    int32_t num_lists,
+    const std::function<std::span<const int32_t>(int32_t)>& list_at,
+    int32_t universe) {
+  MROAM_CHECK(num_lists >= 0);
   MROAM_CHECK(universe >= 0 && int64_t{universe} <= kMaxUniverse);
   std::string blob;
   blob.reserve(kPostingsHeaderBytes +
-               lists.size() * kPostingsDirEntryBytes);
+               static_cast<size_t>(num_lists) * kPostingsDirEntryBytes);
 
   uint64_t total_count = 0;
   std::string data;
   std::string dir;
   std::string scratch;
-  for (const std::vector<int32_t>& list : lists) {
+  for (int32_t k = 0; k < num_lists; ++k) {
+    const std::span<const int32_t> list = list_at(k);
     const uint64_t offset = data.size();
     uint32_t blocks = 0;
     size_t i = 0;
@@ -119,7 +123,7 @@ CompressedPostings CompressedPostings::Build(
   }
 
   PutLE32(&blob, kPostingsMagic);
-  PutLE32(&blob, static_cast<uint32_t>(lists.size()));
+  PutLE32(&blob, static_cast<uint32_t>(num_lists));
   PutLE32(&blob, static_cast<uint32_t>(universe));
   PutLE32(&blob, 0);  // reserved
   PutLE64(&blob, total_count);

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -108,11 +110,28 @@ class CompressedPostings {
     return *this;
   }
 
-  /// Compresses `lists` (each sorted ascending, duplicate-free, values in
-  /// [0, universe)) into an owned blob. CHECK-fails on violated
-  /// preconditions — callers hold InfluenceIndex invariants already.
-  static CompressedPostings Build(const std::vector<std::vector<int32_t>>& lists,
-                                  int32_t universe);
+  /// Compresses `num_lists` lists into an owned blob, list i being the
+  /// std::span<const int32_t> that `list_at(i)` returns, so lists are
+  /// encoded where they lie, however the caller stores them. Each must be
+  /// sorted ascending, duplicate-free and inside [0, universe);
+  /// CHECK-fails on violated preconditions — callers hold InfluenceIndex
+  /// invariants already.
+  static CompressedPostings Build(
+      int32_t num_lists,
+      const std::function<std::span<const int32_t>(int32_t)>& list_at,
+      int32_t universe);
+
+  /// Build over nested vectors, list i being lists[i].
+  static CompressedPostings Build(
+      const std::vector<std::vector<int32_t>>& lists, int32_t universe) {
+    MROAM_CHECK(lists.size() <= static_cast<size_t>(INT32_MAX));
+    return Build(
+        static_cast<int32_t>(lists.size()),
+        [&lists](int32_t i) {
+          return std::span<const int32_t>(lists[static_cast<size_t>(i)]);
+        },
+        universe);
+  }
 
   /// Parses (and fully validates) a blob previously produced by Build.
   /// kBorrow keeps `bytes` as the backing store; kCopy duplicates it.

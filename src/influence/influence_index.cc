@@ -32,8 +32,7 @@ InfluenceIndex InfluenceIndex::Build(const model::Dataset& dataset,
 
   // For each trajectory point, find billboards within lambda; dedupe per
   // trajectory before appending so each (o, t) pair is recorded once. A
-  // trajectory no board meets gets no compacted id; the boards a met
-  // trajectory's points reach are its covering list, ascending.
+  // trajectory no board meets gets no compacted id.
   std::vector<int32_t> hits;
   std::vector<model::BillboardId> met;
   for (const model::Trajectory& t : dataset.trajectories) {
@@ -56,7 +55,6 @@ InfluenceIndex InfluenceIndex::Build(const model::Dataset& dataset,
     for (model::BillboardId o : met) {
       index.covered_[o].push_back(compact);
     }
-    index.covering_.emplace_back(met.begin(), met.end());
   }
   index.num_covered_ = static_cast<int32_t>(index.dataset_ids_.size());
 
@@ -65,6 +63,7 @@ InfluenceIndex InfluenceIndex::Build(const model::Dataset& dataset,
     MROAM_DCHECK(std::is_sorted(list.begin(), list.end()));
     index.total_supply_ += static_cast<int64_t>(list.size());
   }
+  index.BuildReverseIndex();
   MROAM_COUNTER_ADD("influence.index_builds", 1);
   MROAM_HISTOGRAM_OBSERVE("influence.index_build_seconds",
                           watch.ElapsedSeconds());
@@ -150,7 +149,7 @@ InfluenceIndex InfluenceIndex::FromCompactedIncidence(
   }
   index.BuildReverseIndex();
   for (int32_t t = 0; t < universe; ++t) {
-    const size_t boards = index.covering_[static_cast<size_t>(t)].size();
+    const size_t boards = index.CoveringOf(t).size();
     MROAM_CHECK(boards >= 1 &&
                 boards <= static_cast<size_t>(kMaxCoveringBoards))
         << "FromCompactedIncidence: trajectory "
@@ -197,15 +196,31 @@ InfluenceIndex InfluenceIndex::FromCompressed(
 }
 
 void InfluenceIndex::BuildReverseIndex() {
-  covering_.assign(static_cast<size_t>(num_covered_), {});
+  MROAM_CHECK(total_supply_ <= int64_t{UINT32_MAX})
+      << "InfluenceIndex: " << total_supply_
+      << " postings overflow the covering lists' 32-bit offsets";
+  // Counting sort. Count t's boards at offsets[t + 2] and prefix-sum, so
+  // offsets[t + 1] is where t's list begins; placing each board advances
+  // it, and it ends where t's list ends, which is where t + 1's begins.
+  covering_offsets_.assign(static_cast<size_t>(num_covered_) + 2, 0);
+  for (const auto& list : covered_) {
+    for (model::TrajectoryId t : list) {
+      ++covering_offsets_[static_cast<size_t>(t) + 2];
+    }
+  }
+  for (size_t i = 2; i < covering_offsets_.size(); ++i) {
+    covering_offsets_[i] += covering_offsets_[i - 1];
+  }
+  covering_ids_.resize(static_cast<size_t>(total_supply_));
   // Billboards are walked in ascending id order, so each covering list
   // comes out sorted without an explicit sort.
   for (size_t o = 0; o < covered_.size(); ++o) {
     for (model::TrajectoryId t : covered_[o]) {
-      covering_[static_cast<size_t>(t)].push_back(
-          static_cast<model::BillboardId>(o));
+      covering_ids_[covering_offsets_[static_cast<size_t>(t) + 1]++] =
+          static_cast<model::BillboardId>(o);
     }
   }
+  covering_offsets_.pop_back();
 }
 
 int64_t InfluenceIndex::InfluenceOfSet(

@@ -2,6 +2,7 @@
 #define MROAM_INFLUENCE_INFLUENCE_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cindex/postings.h"
@@ -103,10 +104,12 @@ class InfluenceIndex {
   /// by every consumer: CoverageCounter walks it to keep the boards'
   /// marginal gains and losses current, and the snapshot format persists
   /// it alongside the forward lists. Requires has_plain().
-  const std::vector<model::BillboardId>& CoveringOf(
+  std::span<const model::BillboardId> CoveringOf(
       model::TrajectoryId t) const {
     MROAM_DCHECK(has_plain_);
-    return covering_[t];
+    const auto begin = covering_offsets_[static_cast<size_t>(t)];
+    const auto end = covering_offsets_[static_cast<size_t>(t) + 1];
+    return {covering_ids_.data() + begin, end - begin};
   }
 
   /// Calls fn(TrajectoryId) for each trajectory billboard `o` influences,
@@ -127,18 +130,10 @@ class InfluenceIndex {
   template <typename Fn>
   void ForEachCovering(model::TrajectoryId t, Fn&& fn) const {
     if (has_plain_) {
-      for (model::BillboardId o : covering_[t]) fn(o);
+      for (model::BillboardId o : CoveringOf(t)) fn(o);
     } else {
       covering_c_.ForEach(t, fn);
     }
-  }
-
-  /// The full reverse index, aligned with compacted trajectory ids
-  /// (snapshot IO).
-  /// Requires has_plain().
-  const std::vector<std::vector<model::BillboardId>>& covering() const {
-    MROAM_DCHECK(has_plain_);
-    return covering_;
   }
 
   /// The full forward incidence, aligned with billboard ids (snapshot IO).
@@ -197,8 +192,9 @@ class InfluenceIndex {
   int64_t InfluenceOfSet(const std::vector<model::BillboardId>& set) const;
 
  private:
-  /// Derives covering_ from covered_ (called by FromCompactedIncidence
-  /// once the forward lists are final).
+  /// Derives the covering lists from covered_ by one counting sort
+  /// (called by Build and FromCompactedIncidence once the forward lists
+  /// and total_supply_ are final).
   void BuildReverseIndex();
 
   double lambda_ = 0.0;
@@ -208,9 +204,11 @@ class InfluenceIndex {
   int64_t total_supply_ = 0;
   bool has_plain_ = true;
   std::vector<std::vector<model::TrajectoryId>> covered_;
-  /// Reverse incidence: covering_[t] lists the billboards whose covered_
-  /// list contains t, ascending. Always sized num_covered_.
-  std::vector<std::vector<model::BillboardId>> covering_;
+  /// Reverse incidence, flat: the billboards whose covered_ list contains
+  /// t are covering_ids_[covering_offsets_[t], covering_offsets_[t + 1]),
+  /// ascending. num_covered_ + 1 offsets; total_supply_ ids.
+  std::vector<uint32_t> covering_offsets_;
+  std::vector<model::BillboardId> covering_ids_;
   std::vector<model::TrajectoryId> dataset_ids_;
   /// The compressed representation (FromCompressed indexes only).
   cindex::CompressedPostings covered_c_;

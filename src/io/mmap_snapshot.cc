@@ -1,5 +1,6 @@
 #include "io/mmap_snapshot.h"
 
+#include <algorithm>
 #include <string_view>
 #include <utility>
 
@@ -14,6 +15,25 @@ namespace mroam::io {
 
 using common::Result;
 using common::Status;
+
+namespace {
+
+/// The bytes from the first to the last of the three postings blobs: all
+/// the index borrows, and so all a mapped boot serves.
+std::string_view ServedBlobs(const wire::SectionTableV2& table) {
+  const char* begin = nullptr;
+  const char* end = nullptr;
+  for (SnapshotSection id :
+       {SnapshotSection::kCompressedIncidence,
+        SnapshotSection::kCompressedCovering, SnapshotSection::kCoveredIds}) {
+    const std::string_view blob = table.payloads[static_cast<uint32_t>(id)];
+    begin = begin == nullptr ? blob.data() : std::min(begin, blob.data());
+    end = std::max(end, blob.data() + blob.size());
+  }
+  return {begin, static_cast<size_t>(end - begin)};
+}
+
+}  // namespace
 
 Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
   MROAM_TRACE_SPAN("io.snapshot_map");
@@ -43,6 +63,9 @@ Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
         wire::DecodeBook(table.payloads[static_cast<uint32_t>(
             SnapshotSection::kContractBook)]));
   }
+  // Every section has passed its checks, and nothing reads the dataset
+  // sections or the book again: keep only the blobs' pages resident.
+  snapshot.file_.ReleaseOutside(ServedBlobs(table));
 
   MROAM_COUNTER_ADD("io.snapshot_maps", 1);
   MROAM_HISTOGRAM_OBSERVE("io.snapshot_map_seconds",

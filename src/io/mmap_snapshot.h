@@ -17,11 +17,13 @@ namespace mroam::io {
 // MappedSnapshot mmaps a snapshot and builds an InfluenceIndex whose
 // compressed postings and covered-id list BORROW the mapped bytes in
 // place — no decoded incidence copy is ever materialized, so cold start
-// is page faults plus one CRC pass, not a parse, and resident memory
-// stays bounded by the file. The index has no plain lists
-// (InfluenceIndex::has_plain() is false); every consumer dispatches
-// through the compressed read path, which CoverageCounter engages
-// automatically. ResaveIndexSnapshot (snapshot_io.h) saves its book.
+// is page faults plus one CRC pass, not a parse. Every section is still
+// CRC-checked, but once all checks pass the pages outside the three
+// blobs are dropped, so resident memory is the blobs only. The index has
+// no plain lists (InfluenceIndex::has_plain() is false); every consumer
+// dispatches through the compressed read path, which CoverageCounter
+// engages automatically. ResaveIndexSnapshot (snapshot_io.h) saves its
+// book.
 //
 // The mapping lives exactly as long as the MappedSnapshot: keep it alive
 // for the whole serving lifetime of index(). Move-only.
@@ -33,9 +35,11 @@ class MappedSnapshot {
   /// version (anything but kSnapshotVersion is kInvalidArgument),
   /// framing with 64-byte payload alignment, per-section CRC, the full
   /// structural validation of the three postings blobs and the shape
-  /// checks both boots share (wire::BorrowIndexSections). The
-  /// "io.mmap_map" fault point turns a good file into a typed kIoError
-  /// (chaos hook for mroam_serve's exit-status-3 path).
+  /// checks both boots share (wire::BorrowIndexSections). Once every
+  /// check has passed, the pages outside the three blobs are released
+  /// (MappedFile::ReleaseOutside). The "io.mmap_map" fault point turns a
+  /// good file into a typed kIoError (chaos hook for mroam_serve's
+  /// exit-status-3 path).
   static common::Result<MappedSnapshot> Map(const std::string& path);
 
   MappedSnapshot(MappedSnapshot&&) = default;

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -87,6 +88,22 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
 }
 
 MappedFile::~MappedFile() { Unmap(); }
+
+void MappedFile::ReleaseOutside(std::string_view keep) {
+  const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<uintptr_t>(map_);
+  const uintptr_t end = begin + len_;
+  const auto keep_at = reinterpret_cast<uintptr_t>(keep.data());
+  const uintptr_t keep_begin = keep_at / page * page;
+  const uintptr_t keep_end = (keep_at + keep.size() + page - 1) / page * page;
+  if (keep_begin > begin) {
+    ::madvise(map_, keep_begin - begin, MADV_DONTNEED);
+  }
+  if (end > keep_end) {
+    ::madvise(reinterpret_cast<void*>(keep_end), end - keep_end,
+              MADV_DONTNEED);
+  }
+}
 
 void MappedFile::Unmap() {
   if (map_ != nullptr) {
@@ -336,8 +353,10 @@ cindex::CompressedPostings EncodeCovered(
 
 cindex::CompressedPostings EncodeCovering(
     const influence::InfluenceIndex& index) {
-  return cindex::CompressedPostings::Build(index.covering(),
-                                           index.num_billboards());
+  return cindex::CompressedPostings::Build(
+      index.num_covered(),
+      [&index](model::TrajectoryId t) { return index.CoveringOf(t); },
+      index.num_billboards());
 }
 
 /// The covered trajectories' dataset ids, as one list over the dataset.

@@ -47,6 +47,12 @@ class MappedFile {
     return {static_cast<const char*>(map_), len_};
   }
 
+  /// Drops from memory every page of the mapping outside `keep` (a view
+  /// into data()), which is rounded outward to whole pages. The mapping is
+  /// read-only and private, so a later read faults the same bytes back in
+  /// from the file; a failed madvise only leaves the pages resident.
+  void ReleaseOutside(std::string_view keep);
+
  private:
   void Unmap();
 

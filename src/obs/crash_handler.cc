@@ -111,9 +111,9 @@ void InstallCrashHandler(const char* path) {
   }
   std::snprintf(g_report_path, sizeof(g_report_path), "%s", path);
 
-  // Touch the singletons now so the handler never runs their first-use
-  // initialization (which could allocate) inside a signal context.
-  FlightRecorder::Global();
+  // Touch the registry now so the handler never runs its first-use
+  // initialization (which could allocate) inside a signal context. The
+  // flight recorder is constant-initialized and needs no touch.
   MetricsRegistry::Global();
 
   if (g_installed.exchange(true)) return;  // path updated above

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -58,11 +59,17 @@ void SanitizeName(const char* name, char* out, size_t out_size) {
 
 }  // namespace
 
+// The crash handler may run during process teardown and must never
+// touch a destroyed object: with no destructor to run, the recorder
+// outlives every exit path.
+static_assert(std::is_trivially_destructible_v<FlightRecorder>);
+
 FlightRecorder& FlightRecorder::Global() {
-  // Leaked singleton, same as the Tracer/registry: the crash handler may
-  // run during process teardown and must never touch a destroyed object.
-  static FlightRecorder* recorder = new FlightRecorder();
-  return *recorder;
+  // Constant-initialized to zero bytes, so the recorder sits in .bss:
+  // no constructor runs, no first-use guard is checked, and a ring's
+  // pages are faulted in by its first write.
+  static constinit FlightRecorder recorder;
+  return recorder;
 }
 
 uint32_t FlightRecorder::ThisThreadRing() {
@@ -190,6 +197,7 @@ int64_t FlightRecorder::DroppedApprox() const {
 
 void FlightRecorder::Clear() {
   for (Ring& ring : rings_) {
+    if (ring.next.load(std::memory_order_relaxed) == 0) continue;
     for (Slot& slot : ring.slots) {
       slot.seq.store(0, std::memory_order_release);
     }

@@ -9,8 +9,11 @@
 namespace mroam::obs {
 
 /// Ring count and per-ring capacity of the flight recorder. Memory is
-/// bounded at kFlightRings * kFlightRingEvents * sizeof(Slot) (~1 MB)
-/// regardless of how long the process runs or how many threads record.
+/// bounded at kFlightRings rings of kFlightRingEvents 40-byte slots
+/// (640 KiB) regardless of how long the process runs or how many threads
+/// record. The recorder is zero bytes in .bss, so only the rings written
+/// so far are resident: each 20 KiB ring is faulted in by its first
+/// write, and a process keeps one ring per recording thread, up to 32.
 inline constexpr uint32_t kFlightRings = 32;
 inline constexpr uint32_t kFlightRingEvents = 512;
 
@@ -18,8 +21,7 @@ inline constexpr uint32_t kFlightRingEvents = 512;
 /// kept in per-thread ring buffers so a wedged or crashed process can
 /// show what it was doing. Unlike the Tracer (opt-in, unbounded buffers,
 /// flushed to a file), the recorder is ON by default (MROAM_FLIGHT=0
-/// disables), never allocates after construction, and overwrites its
-/// oldest records forever.
+/// disables), never allocates, and overwrites its oldest records forever.
 ///
 /// Writers are wait-free: a thread claims a slot with one relaxed
 /// fetch_add on its ring's ticket counter and fills it with relaxed
@@ -86,7 +88,8 @@ class FlightRecorder {
   int64_t DroppedApprox() const;
 
   /// Invalidates every slot (test isolation; not signal-safe to race
-  /// with, but writers may continue normally).
+  /// with, but writers may continue normally). Rings whose ticket counter
+  /// is 0 are skipped, so rings never written stay unfaulted.
   void Clear();
 
  private:
@@ -94,10 +97,12 @@ class FlightRecorder {
   /// written; seq == ticket+1 (unique, strictly increasing per slot)
   /// means valid. Every field is an atomic so concurrent read/overwrite
   /// is defined behavior; the seq re-check makes it also *consistent*.
+  /// Every default is a zero byte, so the recorder is all-zero storage;
+  /// readers never see a field of a slot whose seq is still 0.
   struct Slot {
     std::atomic<uint64_t> seq{0};
     std::atomic<const char*> name{nullptr};
-    std::atomic<int64_t> id{-1};
+    std::atomic<int64_t> id{0};
     std::atomic<int64_t> t_ns{0};
     std::atomic<int64_t> dur_ns{0};
   };
@@ -106,7 +111,7 @@ class FlightRecorder {
     Slot slots[kFlightRingEvents];
   };
 
-  FlightRecorder() = default;
+  constexpr FlightRecorder() = default;
   static uint32_t ThisThreadRing();
   /// Reads one slot under the seq protocol; false when empty or torn.
   static bool ReadSlot(const Slot& slot, uint32_t ring, Event* out);

@@ -10,7 +10,8 @@
 //                     and the compressed posting blobs are served straight
 //                     out of the mapping — no decoded incidence copy ever
 //                     exists, so boot cost is page faults plus one CRC
-//                     pass and resident memory stays bounded by the file.
+//                     pass, and once every section is checked only the
+//                     blobs' pages stay resident.
 //   --gen nyc|sg      generate a synthetic city and build the index
 //                     in-process (slow path; useful with --save-snapshot
 //                     to produce the snapshot for later cold starts).

@@ -333,7 +333,8 @@ TEST(FromCompressedTest, ServesTheSameIncidenceWithoutPlainLists) {
     compact.ForEachCovering(t, [&walked](model::BillboardId o) {
       walked.push_back(o);
     });
-    EXPECT_EQ(walked, full.CoveringOf(t)) << "trajectory " << t;
+    EXPECT_EQ(walked, testing::CoveringVector(full, t))
+        << "trajectory " << t;
   }
 
   // A counter over a plain-free index runs the compressed kernels — there

@@ -12,6 +12,7 @@
 namespace mroam::influence {
 namespace {
 
+using testing::CoveringVector;
 using testing::DatasetFromIncidence;
 using testing::DatasetIdsCoveredBy;
 using testing::kFixtureLambda;
@@ -49,8 +50,10 @@ TEST(InfluenceIndexTest, CompactsUncoveredTrajectoriesInOrder) {
               (std::vector<model::TrajectoryId>{1, 4, 6}));
     EXPECT_EQ(index.CoveredBy(0), (std::vector<model::TrajectoryId>{0, 1}));
     EXPECT_EQ(index.CoveredBy(2), (std::vector<model::TrajectoryId>{1, 2}));
-    EXPECT_EQ(index.CoveringOf(1), (std::vector<model::BillboardId>{0, 2}));
-    EXPECT_EQ(index.covering().size(), 3u);
+    EXPECT_EQ(CoveringVector(index, 1),
+              (std::vector<model::BillboardId>{0, 2}));
+    EXPECT_EQ(CoveringVector(index, 0), (std::vector<model::BillboardId>{0}));
+    EXPECT_EQ(CoveringVector(index, 2), (std::vector<model::BillboardId>{2}));
     EXPECT_EQ(DatasetIdsCoveredBy(index, 2),
               (std::vector<model::TrajectoryId>{4, 6}));
     EXPECT_EQ(index.TotalSupply(), 4);

@@ -274,7 +274,11 @@ TEST_F(SnapshotIoTest, RoundTripIsBitExact) {
             std::bit_cast<uint64_t>(city.index.lambda()));
   EXPECT_EQ(loaded->index.TotalSupply(), city.index.TotalSupply());
   EXPECT_EQ(loaded->index.covered(), city.index.covered());
-  EXPECT_EQ(loaded->index.covering(), city.index.covering());
+  for (int32_t t = 0; t < city.index.num_covered(); ++t) {
+    EXPECT_EQ(testing::CoveringVector(loaded->index, t),
+              testing::CoveringVector(city.index, t))
+        << "trajectory " << t;
+  }
   EXPECT_EQ(loaded->index.dataset_ids(), city.index.dataset_ids());
 }
 
@@ -755,6 +759,72 @@ TEST_F(SnapshotIoTest, MappedSnapshotSurvivesMoves) {
   MappedSnapshot assigned = std::move(moved);
   EXPECT_EQ(assigned.index().TotalSupply(), supply);
   EXPECT_EQ(assigned.index().InfluenceOf(0), city.index.InfluenceOf(0));
+}
+
+/// Resident bytes of this process's mappings of the file at `path` (a
+/// canonical path), summed over their Rss lines in /proc/self/smaps.
+size_t MappedResidentBytes(const std::string& path) {
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool ours = false;
+  size_t kib = 0;
+  while (std::getline(smaps, line)) {
+    const std::string key = line.substr(0, line.find(' '));
+    if (key.empty() || key.back() != ':') {
+      // A mapping's header line: address range, ..., then the file name.
+      ours = line.size() >= path.size() &&
+             line.compare(line.size() - path.size(), path.size(), path) == 0;
+    } else if (ours && key == "Rss:") {
+      kib += std::stoul(line.substr(key.size()));
+    }
+  }
+  return kib * 1024;
+}
+
+TEST_F(SnapshotIoTest, MappedSnapshotKeepsOnlyTheBlobsResident) {
+  City city = MakeCity();
+  const std::string path = PathFor("resident.snap");
+  ASSERT_TRUE(SaveIndexSnapshot(path, city.dataset, city.index, MakeBook())
+                  .ok());
+  const std::string data = ReadBytes(path);
+  const auto page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  ASSERT_GE(FindSectionV2(data, SnapshotSection::kTrajectories)
+                .payload_length,
+            8 * page);
+  // The writer puts the three blobs one after another; the pages they
+  // touch are all a mapped boot may keep.
+  const SectionSpanV2 first =
+      FindSectionV2(data, SnapshotSection::kCompressedIncidence);
+  const SectionSpanV2 last =
+      FindSectionV2(data, SnapshotSection::kCoveredIds);
+  ASSERT_LT(first.payload_offset, last.payload_offset);
+  const size_t served = (last.crc_offset + page - 1) / page * page -
+                        first.payload_offset / page * page;
+  ASSERT_LT(served + 8 * page, data.size());
+
+  auto mapped = MappedSnapshot::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const std::string mapped_path = std::filesystem::canonical(path).string();
+  EXPECT_GT(MappedResidentBytes(mapped_path), 0u);
+  EXPECT_LE(MappedResidentBytes(mapped_path), served);
+
+  // Serving reads the blobs only.
+  const influence::InfluenceIndex& index = mapped->index();
+  int64_t walked = 0;
+  for (int32_t o = 0; o < index.num_billboards(); ++o) {
+    index.ForEachCovered(o, [&walked](model::TrajectoryId) { ++walked; });
+  }
+  for (int32_t t = 0; t < index.num_covered(); ++t) {
+    index.ForEachCovering(t, [&walked](model::BillboardId) { ++walked; });
+  }
+  EXPECT_EQ(walked, 2 * city.index.TotalSupply());
+  EXPECT_LE(MappedResidentBytes(mapped_path), served);
+
+  // The dropped pages are still the file's: a re-save copies them back.
+  const std::string copy = PathFor("resident_copy.snap");
+  ASSERT_TRUE(ResaveIndexSnapshot(path, copy, index, mapped->book()).ok());
+  EXPECT_EQ(ReadBytes(copy), data);
+  EXPECT_LE(MappedResidentBytes(mapped_path), served);
 }
 
 TEST_F(SnapshotIoTest, MapRejectsV1Snapshot) {

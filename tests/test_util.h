@@ -1,6 +1,7 @@
 #ifndef MROAM_TESTS_TEST_UTIL_H_
 #define MROAM_TESTS_TEST_UTIL_H_
 
+#include <span>
 #include <vector>
 
 #include "influence/influence_index.h"
@@ -69,11 +70,20 @@ inline influence::InfluenceIndex CompressedTwin(
     const influence::InfluenceIndex& plain) {
   return influence::InfluenceIndex::FromCompressed(
       cindex::CompressedPostings::Build(plain.covered(), plain.num_covered()),
-      cindex::CompressedPostings::Build(plain.covering(),
-                                        plain.num_billboards()),
+      cindex::CompressedPostings::Build(
+          plain.num_covered(),
+          [&plain](model::TrajectoryId t) { return plain.CoveringOf(t); },
+          plain.num_billboards()),
       cindex::CompressedPostings::Build({plain.dataset_ids()},
                                         plain.num_trajectories()),
       plain.lambda());
+}
+
+/// Trajectory `t`'s covering list as a vector, for EXPECT_EQ.
+inline std::vector<model::BillboardId> CoveringVector(
+    const influence::InfluenceIndex& index, model::TrajectoryId t) {
+  const std::span<const model::BillboardId> list = index.CoveringOf(t);
+  return {list.begin(), list.end()};
 }
 
 /// Board `o`'s incidence list in dataset ids: the index lists compacted
