@@ -28,8 +28,8 @@ namespace mroam::cindex {
 ///
 /// A block is stored dense exactly when its sparse encoding would reach
 /// the dense payload size (64 bytes), so the choice is deterministic and
-/// re-encoding a decoded blob is bit-identical — the property the v2
-/// snapshot loader uses as its round-trip check.
+/// re-encoding a decoded blob is bit-identical — the property the
+/// decoded snapshot boot checks in place with IsEncodingOf.
 
 /// log2 of the number of values a block spans.
 inline constexpr uint32_t kBlockSpanBits = 9;
@@ -110,27 +110,35 @@ class CompressedPostings {
     return *this;
   }
 
-  /// Compresses `num_lists` lists into an owned blob, list i being the
-  /// std::span<const int32_t> that `list_at(i)` returns, so lists are
-  /// encoded where they lie, however the caller stores them. Each must be
-  /// sorted ascending, duplicate-free and inside [0, universe);
-  /// CHECK-fails on violated preconditions — callers hold InfluenceIndex
-  /// invariants already.
-  static CompressedPostings Build(
-      int32_t num_lists,
-      const std::function<std::span<const int32_t>(int32_t)>& list_at,
-      int32_t universe);
+  /// List i of a set of lists, as the encoder reads it: lists are
+  /// encoded where they lie, however the caller stores them.
+  using ListAt = std::function<std::span<const int32_t>(int32_t)>;
+
+  /// Compresses `num_lists` lists into an owned blob, list i being
+  /// `list_at(i)`. Each must be sorted ascending, duplicate-free and
+  /// inside [0, universe); CHECK-fails on violated preconditions — callers
+  /// hold InfluenceIndex invariants already.
+  static CompressedPostings Build(int32_t num_lists, const ListAt& list_at,
+                                  int32_t universe);
 
   /// Build over nested vectors, list i being lists[i].
   static CompressedPostings Build(
       const std::vector<std::vector<int32_t>>& lists, int32_t universe) {
-    MROAM_CHECK(lists.size() <= static_cast<size_t>(INT32_MAX));
-    return Build(
-        static_cast<int32_t>(lists.size()),
-        [&lists](int32_t i) {
-          return std::span<const int32_t>(lists[static_cast<size_t>(i)]);
-        },
-        universe);
+    return Build(NumLists(lists), ListsOf(lists), universe);
+  }
+
+  /// Whether Build(num_lists, list_at, universe) would produce exactly
+  /// this blob's bytes. Runs Build's encoder against the blob in place:
+  /// allocates nothing and stops at the first byte that differs — in the
+  /// header, directory, padding or data — or at a length mismatch. Same
+  /// preconditions as Build.
+  bool IsEncodingOf(int32_t num_lists, const ListAt& list_at,
+                    int32_t universe) const;
+
+  /// IsEncodingOf over nested vectors, list i being lists[i].
+  bool IsEncodingOf(const std::vector<std::vector<int32_t>>& lists,
+                    int32_t universe) const {
+    return IsEncodingOf(NumLists(lists), ListsOf(lists), universe);
   }
 
   /// Parses (and fully validates) a blob previously produced by Build.
@@ -207,6 +215,16 @@ class CompressedPostings {
  private:
   /// Re-derives the cached header fields and data pointer from bytes_.
   void Bind();
+
+  static int32_t NumLists(const std::vector<std::vector<int32_t>>& lists) {
+    MROAM_CHECK(lists.size() <= static_cast<size_t>(INT32_MAX));
+    return static_cast<int32_t>(lists.size());
+  }
+  static ListAt ListsOf(const std::vector<std::vector<int32_t>>& lists) {
+    return [&lists](int32_t i) {
+      return std::span<const int32_t>(lists[static_cast<size_t>(i)]);
+    };
+  }
 
   const uint8_t* Data() const {
     return reinterpret_cast<const uint8_t*>(bytes_.data());

@@ -78,17 +78,12 @@ bool ParseLogLevel(std::string_view text, LogLevel* level) {
 
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
   stream_ << "[" << LevelName(level) << " " << Basename(file) << ":" << line
           << "] ";
 }
 
-LogMessage::~LogMessage() {
-  if (level_ >= MinLogLevel()) {
-    std::cerr << stream_.str() << "\n";
-  }
-}
+LogMessage::~LogMessage() { std::cerr << stream_.str() << "\n"; }
 
 FatalLogMessage::FatalLogMessage(const char* file, int line) {
   stream_ << "[F " << Basename(file) << ":" << line << "] ";

@@ -25,7 +25,8 @@ bool ParseLogLevel(std::string_view text, LogLevel* level);
 
 namespace internal {
 
-/// Accumulates one log line and emits it (with level prefix) on destruction.
+/// Accumulates one log line and emits it (with level prefix) on
+/// destruction. MROAM_LOG makes one only for a level MinLogLevel() emits.
 class LogMessage {
  public:
   LogMessage(LogLevel level, const char* file, int line);
@@ -37,8 +38,14 @@ class LogMessage {
   std::ostream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
+};
+
+/// Turns MROAM_LOG's streamed message into void, the type of its other
+/// branch. `&` binds looser than `<<` and tighter than `?:`, so the whole
+/// `<<` chain lands on the message's side.
+struct LogVoidify {
+  void operator&(std::ostream&) {}
 };
 
 /// LogMessage that aborts the process after emitting (for CHECK failures).
@@ -58,10 +65,17 @@ class FatalLogMessage {
 
 }  // namespace internal
 
-#define MROAM_LOG(level)                                               \
-  ::mroam::common::internal::LogMessage(                               \
-      ::mroam::common::LogLevel::k##level, __FILE__, __LINE__)         \
-      .stream()
+/// Streams one log line at `level` (Debug, Info, Warning or Error). Below
+/// MinLogLevel() nothing is built and no `<<` operand is evaluated. The
+/// macro is one expression, so `if (c) MROAM_LOG(Error) << x;` needs no
+/// braces and takes no stray `else`.
+#define MROAM_LOG(level)                                                \
+  (::mroam::common::LogLevel::k##level < ::mroam::common::MinLogLevel()) \
+      ? (void)0                                                         \
+      : ::mroam::common::internal::LogVoidify() &                       \
+            ::mroam::common::internal::LogMessage(                      \
+                ::mroam::common::LogLevel::k##level, __FILE__, __LINE__) \
+                .stream()
 
 /// Aborts with a message when `cond` does not hold. Active in all builds:
 /// invariant violations in a solver are always bugs worth crashing on.

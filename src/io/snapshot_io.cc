@@ -342,9 +342,17 @@ std::string EncodeTrajectories(const model::Dataset& dataset) {
   return out;
 }
 
+/// The covering lists of a plain-list index, as the postings encoder
+/// reads them.
+cindex::CompressedPostings::ListAt CoveringLists(
+    const influence::InfluenceIndex& index) {
+  return [&index](model::TrajectoryId t) { return index.CoveringOf(t); };
+}
+
 /// The compressed postings sections of a plain-list index. The encoder
 /// is deterministic, so the same incidence always yields the same bytes:
-/// the saver writes these and the loader re-encodes them to verify.
+/// the saver writes these, and the decoded boot checks the stored ones
+/// against the same encoder in place (IsEncodingOf).
 cindex::CompressedPostings EncodeCovered(
     const influence::InfluenceIndex& index) {
   return cindex::CompressedPostings::Build(index.covered(),
@@ -354,9 +362,7 @@ cindex::CompressedPostings EncodeCovered(
 cindex::CompressedPostings EncodeCovering(
     const influence::InfluenceIndex& index) {
   return cindex::CompressedPostings::Build(
-      index.num_covered(),
-      [&index](model::TrajectoryId t) { return index.CoveringOf(t); },
-      index.num_billboards());
+      index.num_covered(), CoveringLists(index), index.num_billboards());
 }
 
 /// The covered trajectories' dataset ids, as one list over the dataset.
@@ -628,15 +634,19 @@ Result<IndexSnapshot> DecodeSnapshot(std::string_view data,
   sections.dataset_ids.Decode(0, &dataset_ids);
 
   // BorrowIndexSections has checked every precondition the rebuild
-  // CHECKs; re-encoding both directions must reproduce the stored
-  // payloads byte for byte. That is the integrity check (it also
-  // certifies the covering blob without a separate decode).
+  // CHECKs; encoding both directions of the rebuilt index must reproduce
+  // the stored payloads byte for byte. That is the integrity check (it
+  // also certifies the covering blob without a separate decode), and it
+  // compares in place, building no blob.
   IndexSnapshot snapshot;
   snapshot.index = influence::InfluenceIndex::FromCompactedIncidence(
       std::move(covered), std::move(dataset_ids),
       static_cast<int32_t>(meta.num_trajectories), meta.lambda);
-  if (EncodeCovered(snapshot.index).bytes() != sections.covered.bytes() ||
-      EncodeCovering(snapshot.index).bytes() != sections.covering.bytes()) {
+  const influence::InfluenceIndex& index = snapshot.index;
+  if (!sections.covered.IsEncodingOf(index.covered(), index.num_covered()) ||
+      !sections.covering.IsEncodingOf(index.num_covered(),
+                                      CoveringLists(index),
+                                      index.num_billboards())) {
     return Status::DataLoss(
         "snapshot compressed sections do not re-encode to the stored "
         "bytes");

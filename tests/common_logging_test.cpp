@@ -1,5 +1,7 @@
 #include "common/logging.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace mroam::common {
@@ -46,6 +48,36 @@ TEST(ParseLogLevelTest, RejectsUnknownTextAndLeavesLevelUntouched) {
   EXPECT_FALSE(ParseLogLevel("info ", &level));
   EXPECT_FALSE(ParseLogLevel("log-info", &level));
   EXPECT_EQ(level, LogLevel::kWarning);
+}
+
+TEST(MinLogLevelTest, FilteredMessageEvaluatesNoOperand) {
+  const LogLevel original = MinLogLevel();
+  int touches = 0;
+  auto touch = [&touches] {
+    ++touches;
+    return "touched";
+  };
+  SetMinLogLevel(LogLevel::kWarning);
+  testing::internal::CaptureStderr();
+  MROAM_LOG(Debug) << touch();
+  MROAM_LOG(Info) << touch() << touch();
+  EXPECT_EQ(touches, 0);
+  MROAM_LOG(Warning) << touch();
+  EXPECT_EQ(touches, 1);
+  // One expression: an unbraced if/else binds as written.
+  const bool failed = true;
+  if (!failed) MROAM_LOG(Error) << touch();
+  EXPECT_EQ(touches, 1);
+  if (failed) MROAM_LOG(Error) << touch(); else touches += 100;
+  EXPECT_EQ(touches, 2);
+  const std::string emitted = testing::internal::GetCapturedStderr();
+  SetMinLogLevel(original);
+  EXPECT_EQ(emitted.find("[D "), std::string::npos) << emitted;
+  EXPECT_EQ(emitted.find("[I "), std::string::npos) << emitted;
+  EXPECT_NE(emitted.find("[W common_logging_test.cpp:"), std::string::npos)
+      << emitted;
+  EXPECT_NE(emitted.find("[E common_logging_test.cpp:"), std::string::npos)
+      << emitted;
 }
 
 TEST(MinLogLevelTest, SetterRoundTrips) {

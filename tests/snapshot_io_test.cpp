@@ -142,6 +142,49 @@ class SnapshotIoTest : public ::testing::Test {
     }
   }
 
+  static void StoreU64(std::string* data, size_t offset, uint64_t v) {
+    StoreU32(data, offset, static_cast<uint32_t>(v & 0xFFFFFFFFu));
+    StoreU32(data, offset + 4, static_cast<uint32_t>(v >> 32));
+  }
+
+  /// Appends one section as the writer frames it: 16-byte header, zero
+  /// padding to the next 64-byte file offset, payload, CRC.
+  static void AppendSection(std::string* file, SnapshotSection id,
+                            std::string_view payload) {
+    const size_t header_end = file->size() + kSnapshotSectionHeaderBytesV2;
+    const size_t pad =
+        (wire::kSectionAlignmentV2 -
+         header_end % wire::kSectionAlignmentV2) %
+        wire::kSectionAlignmentV2;
+    wire::PutU32(file, static_cast<uint32_t>(id));
+    wire::PutU32(file, static_cast<uint32_t>(pad));
+    wire::PutU64(file, payload.size());
+    file->append(pad, '\0');
+    file->append(payload);
+    wire::PutU32(file, common::Crc32(payload));
+  }
+
+  /// `data` with the payload of `section` replaced by `payload`, every
+  /// section framed afresh: pads re-aligned, lengths and CRCs re-signed.
+  static std::string WithPayload(const std::string& data,
+                                 SnapshotSection section,
+                                 std::string_view payload) {
+    std::string file = data.substr(0, kSnapshotFileHeaderBytes);
+    size_t offset = kSnapshotFileHeaderBytes;
+    while (true) {
+      const uint32_t id = ReadU32(data, offset);
+      const size_t at =
+          offset + kSnapshotSectionHeaderBytesV2 + ReadU32(data, offset + 4);
+      const auto length = static_cast<size_t>(ReadU64(data, offset + 8));
+      AppendSection(&file, static_cast<SnapshotSection>(id),
+                    id == static_cast<uint32_t>(section)
+                        ? payload
+                        : std::string_view(data).substr(at, length));
+      if (id == static_cast<uint32_t>(SnapshotSection::kEnd)) return file;
+      offset = at + length + 4;
+    }
+  }
+
   struct SectionSpanV2 {
     size_t payload_offset = 0;
     size_t payload_length = 0;
@@ -193,17 +236,7 @@ class SnapshotIoTest : public ::testing::Test {
     std::string file(kSnapshotMagic, sizeof(kSnapshotMagic));
     wire::PutU32(&file, kSnapshotVersion);
     auto append = [&file](SnapshotSection id, std::string_view payload) {
-      const size_t header_end = file.size() + kSnapshotSectionHeaderBytesV2;
-      const size_t pad =
-          (wire::kSectionAlignmentV2 -
-           header_end % wire::kSectionAlignmentV2) %
-          wire::kSectionAlignmentV2;
-      wire::PutU32(&file, static_cast<uint32_t>(id));
-      wire::PutU32(&file, static_cast<uint32_t>(pad));
-      wire::PutU64(&file, payload.size());
-      file.append(pad, '\0');
-      file.append(payload);
-      wire::PutU32(&file, common::Crc32(payload));
+      AppendSection(&file, id, payload);
     };
     const auto boards = static_cast<uint32_t>(covered.size());
     std::string meta;
@@ -643,6 +676,81 @@ TEST_F(SnapshotIoTest, V2RejectsResignedPostingsForgery) {
         << "section " << static_cast<uint32_t>(section) << ": "
         << loaded.status().ToString();
   }
+}
+
+TEST_F(SnapshotIoTest, RejectsANonCanonicalPostingsEncoding) {
+  // An over-long varint decodes to the value it pads, so a blob holding
+  // one passes Validate and decodes to the saved lists. Only comparing
+  // bytes with the canonical encoding, not decoded values, tells it from
+  // the blob the writer saved.
+  const std::string pristine = ReadBytes(SavedCityPath());
+  const SectionSpanV2 span =
+      FindSectionV2(pristine, SnapshotSection::kCompressedIncidence);
+  const std::string_view saved_blob =
+      std::string_view(pristine).substr(span.payload_offset,
+                                        span.payload_length);
+  std::string blob(saved_blob);
+  const uint32_t num_lists = ReadU32(blob, 4);
+  const size_t dir = cindex::kPostingsHeaderBytes;
+  const size_t data_start =
+      (dir + size_t{num_lists} * cindex::kPostingsDirEntryBytes +
+       cindex::kPostingsAlignment - 1) /
+      cindex::kPostingsAlignment * cindex::kPostingsAlignment;
+  // The first list that holds values and starts with a sparse block.
+  uint32_t list = 0;
+  size_t block = 0;
+  for (; list < num_lists; ++list) {
+    const size_t entry = dir + size_t{list} * cindex::kPostingsDirEntryBytes;
+    block = data_start + static_cast<size_t>(ReadU64(blob, entry));
+    if (ReadU32(blob, entry + 8) > 0 &&
+        (ReadU32(blob, block) & cindex::kBlockDenseFlag) == 0) {
+      break;
+    }
+  }
+  ASSERT_LT(list, num_lists);
+  // Lengthen the block's first varint by one byte: its last byte gains a
+  // continuation bit and a zero byte follows. Every later list starts one
+  // byte later, and the data area is one byte longer.
+  size_t last = block + 4;
+  while (static_cast<unsigned char>(blob[last]) & 0x80u) ++last;
+  blob[last] = static_cast<char>(static_cast<unsigned char>(blob[last]) |
+                                 0x80u);
+  blob.insert(last + 1, 1, '\0');
+  for (uint32_t k = list + 1; k < num_lists; ++k) {
+    const size_t entry = dir + size_t{k} * cindex::kPostingsDirEntryBytes;
+    StoreU64(&blob, entry, ReadU64(blob, entry) + 1);
+  }
+  StoreU64(&blob, 24, ReadU64(blob, 24) + 1);  // data_bytes
+
+  auto forged =
+      cindex::CompressedPostings::FromBytes(blob, cindex::Ownership::kBorrow);
+  ASSERT_TRUE(forged.ok()) << forged.status().ToString();
+  auto saved = cindex::CompressedPostings::FromBytes(
+      saved_blob, cindex::Ownership::kBorrow);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  for (uint32_t k = 0; k < num_lists; ++k) {
+    std::vector<int32_t> got;
+    std::vector<int32_t> want;
+    forged->Decode(static_cast<int32_t>(k), &got);
+    saved->Decode(static_cast<int32_t>(k), &want);
+    ASSERT_EQ(got, want) << "list " << k;
+  }
+
+  const std::string path = PathFor("noncanonical.snap");
+  WriteBytes(path, WithPayload(pristine,
+                               SnapshotSection::kCompressedIncidence, blob));
+  auto loaded = LoadIndexSnapshot(path);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find(
+                "do not re-encode to the stored bytes"),
+            std::string::npos)
+      << loaded.status().ToString();
+  // Framed by the same helper, the saved blob gives back the saved file,
+  // so the forged file differs in that one blob alone.
+  EXPECT_EQ(WithPayload(pristine, SnapshotSection::kCompressedIncidence,
+                        saved_blob),
+            pristine);
 }
 
 // --- atomic save ---------------------------------------------------------
